@@ -171,131 +171,6 @@ std::string scale_section_json() {
     return "[" + rows + "\n  ]";
 }
 
-/// The "sim_parallel" headline section: how the region-sharded simulation
-/// core (docs/PARALLELISM.md "The sharded simulation core") scales.
-///
-/// Two measurements:
-///   - "engine": a lane-isolated synthetic workload (per-lane event chains
-///     with CPU-bound callbacks) dispatched serially vs on the pool — the
-///     engine-level scaling ceiling, independent of the deployment's shared
-///     control plane. This is where the windowed-dispatch speedup is
-///     recorded; it is bounded by "pool_threads" (the pool's worker count,
-///     itself capped by the machine's core count), so read the speedup
-///     against that field — a 1-core container honestly reports ~1.0x.
-///   - "deployment": the scenario named by NS_BENCH_SIM_PARALLEL (tools
-///     point it at scenarios/standard_200k.ini) run at shards=1 and
-///     shards=4 — wall clock, events/sec, window/stall/cross-message
-///     counters. The deployment dispatches lanes serially (its layers share
-///     the control plane), so this records the real end-to-end effect of
-///     windowed execution + the parallel flow-refill barrier, not the
-///     synthetic ceiling. Omitted when the env var is unset.
-std::string sim_parallel_section_json() {
-    // --- engine scaling: serial vs pool dispatch, identical results -------
-    const int lanes = 8;
-    constexpr int kChains = 64;       // per lane
-    constexpr int kChainEvents = 400;  // events per chain
-    const auto run_engine = [&](bool pool) {
-        sim::Simulator engine;
-        engine.configure_shards(lanes, sim::milliseconds(1.0));
-        engine.set_parallel_dispatch(pool);
-        std::vector<std::uint64_t> acc(static_cast<std::size_t>(lanes), 0);
-        struct Chain {
-            sim::Simulator* engine;
-            std::uint64_t* acc;
-            int left;
-            void fire() {
-                // ~4us of register work per event: enough that dispatch
-                // overhead does not dominate, small enough to stay honest.
-                std::uint64_t x = *acc + 0x9E3779B97F4A7C15ULL;
-                for (int i = 0; i < 4000; ++i) {
-                    x ^= x >> 33;
-                    x *= 0xFF51AFD7ED558CCDULL;
-                }
-                *acc = x;
-                if (--left > 0)
-                    engine->schedule_after(sim::milliseconds(2.0), [this] { fire(); });
-            }
-        };
-        std::vector<Chain> chains;
-        chains.reserve(static_cast<std::size_t>(lanes) * kChains);
-        for (int lane = 0; lane < lanes; ++lane)
-            for (int c = 0; c < kChains; ++c) {
-                chains.push_back(
-                    Chain{&engine, &acc[static_cast<std::size_t>(lane)], kChainEvents});
-                Chain* chain = &chains.back();
-                engine.schedule_in_shard(lane, sim::SimTime{c}, [chain] { chain->fire(); });
-            }
-        const auto t0 = std::chrono::steady_clock::now();
-        engine.run();
-        const double seconds = seconds_since(t0);
-        std::uint64_t digest = 0;
-        for (const std::uint64_t a : acc) digest ^= a;
-        return std::pair<double, std::uint64_t>{seconds, digest};
-    };
-    const auto [serial_seconds, serial_digest] = run_engine(false);
-    const auto [pool_seconds, pool_digest] = run_engine(true);
-    const std::uint64_t engine_events =
-        static_cast<std::uint64_t>(lanes) * kChains * kChainEvents;
-
-    char engine_buf[512];
-    std::snprintf(engine_buf, sizeof(engine_buf),
-                  "\"engine\": {\"lanes\": %d, \"pool_threads\": %d, \"events\": %llu, "
-                  "\"serial_seconds\": %.3f, \"pool_seconds\": %.3f, "
-                  "\"dispatch_speedup\": %.2f, \"results_match\": %s}",
-                  lanes, parallel::thread_count(),
-                  static_cast<unsigned long long>(engine_events), serial_seconds,
-                  pool_seconds, pool_seconds > 0.0 ? serial_seconds / pool_seconds : 0.0,
-                  serial_digest == pool_digest ? "true" : "false");
-    std::string out = std::string("{\n    ") + engine_buf;
-
-    // --- deployment: shards=1 vs shards=4 on the named scenario -----------
-    if (const char* scenario = std::getenv("NS_BENCH_SIM_PARALLEL")) {
-        const auto run_deployment = [&](int shards, char* buf, std::size_t n) {
-            auto loaded = load_scenario(scenario);
-            if (!loaded) {
-                std::fprintf(stderr, "[scenario] NS_BENCH_SIM_PARALLEL: %s\n",
-                             loaded.error().message.c_str());
-                return false;
-            }
-            loaded.value().shards = shards;
-            std::printf("[scenario] running %s at shards=%d...\n", scenario, shards);
-            std::fflush(stdout);
-            const auto t0 = std::chrono::steady_clock::now();
-            Simulation sim(std::move(loaded.value()));
-            sim.run();
-            const double wall = seconds_since(t0);
-            const Simulation::PerfStats perf = sim.perf_stats();
-            const sim::Simulator::ShardStats& ss = sim.simulator().shard_stats();
-            const obs::ProcessMemory mem = obs::read_process_memory();
-            std::snprintf(buf, n,
-                          "{\"shards\": %d, \"wall_seconds\": %.3f, "
-                          "\"events_dispatched\": %llu, \"events_per_second\": %.0f, "
-                          "\"peak_rss_bytes\": %zu, \"windows\": %llu, "
-                          "\"window_stalls\": %llu, \"cross_messages\": %llu, "
-                          "\"cross_clamped\": %llu}",
-                          shards, wall, static_cast<unsigned long long>(perf.sim.dispatched),
-                          wall > 0.0 ? static_cast<double>(perf.sim.dispatched) / wall : 0.0,
-                          mem.peak_rss_bytes, static_cast<unsigned long long>(ss.windows),
-                          static_cast<unsigned long long>(ss.window_stalls),
-                          static_cast<unsigned long long>(ss.cross_messages),
-                          static_cast<unsigned long long>(ss.cross_clamped));
-            std::printf("[scenario] shards=%d done: %.1fs wall\n", shards, wall);
-            return true;
-        };
-        char one[512], four[512];
-        if (run_deployment(1, one, sizeof(one)) && run_deployment(4, four, sizeof(four))) {
-            out += ",\n    \"deployment\": {\"scenario\": \"";
-            out += scenario;
-            out += "\",\n      \"baseline\": ";
-            out += one;
-            out += ",\n      \"sharded\": ";
-            out += four;
-            out += "\n    }";
-        }
-    }
-    return out + "\n  }";
-}
-
 /// The "recovery" headline section: a small fixed chaos campaign (seeded,
 /// deterministic — independent of the NS_BENCH_* scale knobs so the numbers
 /// are comparable across runs), reduced to per-fault time-to-recover via
@@ -404,7 +279,6 @@ void write_headline_json(const BenchArgs& args, double wall_seconds, const Simul
                  dataset.log.downloads().size(), dataset.log.logins().size(),
                  dataset.log.transfers().size(), dataset.log.registrations().size());
     std::fprintf(f, "  \"analysis\": %s,\n", analysis_section_json(dataset, cache_path).c_str());
-    std::fprintf(f, "  \"sim_parallel\": %s,\n", sim_parallel_section_json().c_str());
     const std::string recovery = recovery_section_json();
     if (!recovery.empty()) std::fprintf(f, "  \"recovery\": %s,\n", recovery.c_str());
     const std::string scale = scale_section_json();

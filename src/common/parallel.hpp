@@ -29,13 +29,6 @@
 // hardware_concurrency). With one thread every primitive runs inline on the
 // caller — but still through the same chunk decomposition, so switching
 // thread counts cannot even reorder equal-element ties in parallel_sort.
-//
-// The simulator's event callbacks stay off this pool by default. The two
-// sanctioned exceptions are engine-level and barrier-scoped: the sharded
-// Simulator's optional parallel window dispatch and the FlowNetwork's
-// barrier-batched per-shard refill round (docs/PARALLELISM.md "The sharded
-// simulation core"). Application code in edge/, control/ and peer/ must
-// never call into this header from event callbacks.
 #pragma once
 
 #include <algorithm>

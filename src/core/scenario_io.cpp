@@ -1,10 +1,15 @@
 #include "core/scenario_io.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
+
+#include "net/world_data.hpp"
 
 namespace netsession {
 
@@ -57,6 +62,26 @@ Knob double_knob(Get get, Set set, const char* comment) {
                 comment};
 }
 
+/// A whole-number knob: the value must be a plain decimal integer in
+/// [lo, hi], and prints back exactly. Parsing through double would round
+/// values above 2^53, and a float-to-integer cast of an out-of-range value is
+/// undefined; from_chars takes a '-' only for signed fields.
+template <typename Get, typename Set,
+          typename T = std::invoke_result_t<Get, const SimulationConfig&>>
+Knob int_knob(Get get, Set set, std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+              const char* comment) {
+    return Knob{[set, lo, hi](SimulationConfig& c, const std::string& v) {
+                    T x{};
+                    const char* end = v.data() + v.size();
+                    const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+                    if (ec != std::errc{} || ptr != end || x < lo || x > hi) return false;
+                    set(c, x);
+                    return true;
+                },
+                [get](const SimulationConfig& c) { return std::to_string(get(c)); },
+                comment};
+}
+
 template <typename Get, typename Set>
 Knob bool_knob(Get get, Set set, const char* comment) {
     return Knob{[set](SimulationConfig& c, const std::string& v) {
@@ -72,13 +97,15 @@ Knob bool_knob(Get get, Set set, const char* comment) {
 }
 
 const std::map<std::string, Knob>& knobs() {
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
     static const std::map<std::string, Knob> table = {
-        {"seed", double_knob([](const SimulationConfig& c) { return double(c.seed); },
-                             [](SimulationConfig& c, double v) { c.seed = std::uint64_t(v); },
-                             "master seed; every random stream derives from it")},
-        {"peers", double_knob([](const SimulationConfig& c) { return double(c.peers); },
-                              [](SimulationConfig& c, double v) { c.peers = int(v); },
-                              "peer population size")},
+        {"seed", int_knob([](const SimulationConfig& c) { return c.seed; },
+                          [](SimulationConfig& c, std::uint64_t v) { c.seed = v; }, 0,
+                          std::numeric_limits<std::uint64_t>::max(),
+                          "master seed; every random stream derives from it")},
+        {"peers", int_knob([](const SimulationConfig& c) { return c.peers; },
+                           [](SimulationConfig& c, int v) { c.peers = v; }, 0, kMaxInt,
+                           "peer population size")},
         {"window_days",
          double_knob([](const SimulationConfig& c) { return c.behavior.window.seconds() / 86400; },
                      [](SimulationConfig& c, double v) { c.behavior.window = sim::days(v); },
@@ -105,66 +132,46 @@ const std::map<std::string, Knob>& knobs() {
                      [](SimulationConfig& c, double v) { c.behavior.attacker_fraction = v; },
                      "share of peers submitting inflated usage reports")},
         {"total_ases",
-         double_knob([](const SimulationConfig& c) { return double(c.as_graph.total_ases); },
-                     [](SimulationConfig& c, double v) { c.as_graph.total_ases = int(v); },
-                     "autonomous systems in the synthetic topology")},
+         // Every country needs an AS; every AS needs a /12 address block.
+         int_knob([](const SimulationConfig& c) { return c.as_graph.total_ases; },
+                  [](SimulationConfig& c, int v) { c.as_graph.total_ases = v; },
+                  static_cast<int>(net::countries().size()), net::AsGraphConfig::kMaxAses,
+                  "autonomous systems in the synthetic topology")},
         {"tail_providers",
-         double_knob([](const SimulationConfig& c) { return double(c.tail_providers); },
-                     [](SimulationConfig& c, double v) { c.tail_providers = int(v); },
-                     "minor content providers beyond the ten majors")},
+         int_knob([](const SimulationConfig& c) { return c.tail_providers; },
+                  [](SimulationConfig& c, int v) { c.tail_providers = v; }, 0, kMaxInt,
+                  "minor content providers beyond the ten majors")},
         {"max_pieces",
-         double_knob([](const SimulationConfig& c) { return double(c.max_pieces); },
-                     [](SimulationConfig& c, double v) { c.max_pieces = std::uint32_t(v); },
-                     "piece-count cap per object (simulation granularity)")},
+         int_knob([](const SimulationConfig& c) { return c.max_pieces; },
+                  [](SimulationConfig& c, std::uint32_t v) { c.max_pieces = v; }, 1,
+                  std::numeric_limits<std::uint32_t>::max(),
+                  "piece-count cap per object (simulation granularity)")},
         {"max_peers_returned",
-         double_knob(
-             [](const SimulationConfig& c) { return double(c.control.max_peers_returned); },
-             [](SimulationConfig& c, double v) { c.control.max_peers_returned = int(v); },
-             "DN answer size cap (paper: 40)")},
+         int_knob([](const SimulationConfig& c) { return c.control.max_peers_returned; },
+                  [](SimulationConfig& c, int v) { c.control.max_peers_returned = v; }, 0,
+                  kMaxInt, "DN answer size cap (paper: 40)")},
         {"cross_region_threshold",
-         double_knob(
-             [](const SimulationConfig& c) { return double(c.control.cross_region_threshold); },
-             [](SimulationConfig& c, double v) { c.control.cross_region_threshold = int(v); },
-             "widen DN search below this local answer size (0 = strict local)")},
+         int_knob([](const SimulationConfig& c) { return c.control.cross_region_threshold; },
+                  [](SimulationConfig& c, int v) { c.control.cross_region_threshold = v; }, 0,
+                  kMaxInt, "widen DN search below this local answer size (0 = strict local)")},
         {"max_peer_sources",
-         double_knob([](const SimulationConfig& c) { return double(c.client.max_peer_sources); },
-                     [](SimulationConfig& c, double v) { c.client.max_peer_sources = int(v); },
-                     "concurrent p2p sources per download")},
+         int_knob([](const SimulationConfig& c) { return c.client.max_peer_sources; },
+                  [](SimulationConfig& c, int v) { c.client.max_peer_sources = v; }, 0, kMaxInt,
+                  "concurrent p2p sources per download")},
         {"max_upload_connections",
-         double_knob(
-             [](const SimulationConfig& c) { return double(c.client.max_upload_connections); },
-             [](SimulationConfig& c, double v) { c.client.max_upload_connections = int(v); },
-             "concurrent upload connections per peer")},
+         int_knob([](const SimulationConfig& c) { return c.client.max_upload_connections; },
+                  [](SimulationConfig& c, int v) { c.client.max_upload_connections = v; }, 0,
+                  kMaxInt, "concurrent upload connections per peer")},
         {"cache_retention_days",
          double_knob(
              [](const SimulationConfig& c) { return c.client.cache_retention.seconds() / 86400; },
              [](SimulationConfig& c, double v) { c.client.cache_retention = sim::days(v); },
              "how long completed downloads stay shareable")},
         {"threads",
-         double_knob([](const SimulationConfig& c) { return double(c.threads); },
-                     [](SimulationConfig& c, double v) { c.threads = int(v); },
-                     "analysis thread count (0 = NS_THREADS/hardware default)")},
-        {"shards",
-         // Not a double_knob: a scenario that names a shard count must name a
-         // *valid* one. 0 (the in-memory "unset, ask NS_SIM_SHARDS" sentinel)
-         // is rejected here — a written scenario pins its engine explicitly,
-         // so unset configs print as the single-queue default, 1.
-         Knob{[](SimulationConfig& c, const std::string& v) {
-                  try {
-                      std::size_t used = 0;
-                      const int s = std::stoi(v, &used);
-                      if (used != v.size() || s < 1 || s > 64) return false;
-                      c.shards = s;
-                      return true;
-                  } catch (...) {
-                      return false;
-                  }
-              },
-              [](const SimulationConfig& c) {
-                  return std::to_string(c.shards <= 0 ? 1 : c.shards);
-              },
-              "region shards for the event engine (1 = legacy single queue; "
-              "traces are byte-stable per shard count, docs/PARALLELISM.md)"}},
+         // NS_THREADS caps the analysis pool at the same bound.
+         int_knob([](const SimulationConfig& c) { return c.threads; },
+                  [](SimulationConfig& c, int v) { c.threads = v; }, 0, 1024,
+                  "analysis thread count (0 = NS_THREADS/hardware default)")},
         {"disable_p2p", bool_knob([](const SimulationConfig& c) { return c.disable_p2p; },
                                   [](SimulationConfig& c, bool v) { c.disable_p2p = v; },
                                   "true = infrastructure-only baseline")},

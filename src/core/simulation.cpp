@@ -1,8 +1,6 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "common/parallel.hpp"
 #include "analysis/recovery.hpp"
@@ -30,37 +28,16 @@ static_assert(static_cast<int>(analysis::TracedFaultKind::edge_outage) ==
                   static_cast<int>(fault::FaultKind::flash_crowd),
               "analysis::TracedFaultKind must mirror fault::FaultKind");
 
-static int resolve_shards(int configured) {
-    int s = configured;
-    if (s <= 0) {
-        s = 1;
-        if (const char* env = std::getenv("NS_SIM_SHARDS")) {
-            const long v = std::strtol(env, nullptr, 10);
-            if (v >= 1 && v <= 64) s = static_cast<int>(v);
-        }
-    }
-    return std::clamp(s, 1, 64);
-}
-
 Simulation::Simulation(SimulationConfig config)
     : config_(std::move(config)), accounting_(trace_) {
     // Sizes the analysis runtime for post-run measurement passes; the
     // simulation itself stays single-threaded regardless.
     if (config_.threads > 0) parallel::set_thread_count(config_.threads);
 
-    // Region sharding: resolved before anything is scheduled or any host
-    // exists; shards == 1 keeps every layer on its exact legacy path.
-    const int shards = resolve_shards(config_.shards);
-    if (shards > 1) sim_.configure_shards(shards, net::kLatencyFloor);
-
     Rng root(config_.seed);
 
     world_ = std::make_unique<net::World>(
         sim_, net::AsGraph::generate(config_.as_graph, root.child("as-graph")));
-    if (shards > 1) {
-        world_->configure_shards(shards);
-        sim_.set_barrier_hook([this] { world_->flows().solve_barrier(); });
-    }
 
     auto profiles = workload::default_providers(config_.tail_providers);
     if (config_.disable_p2p)
@@ -137,29 +114,6 @@ void Simulation::register_metrics() {
     metrics_registry_.add_computed("sim.callback_heap_allocs", [this] {
         return static_cast<double>(sim_.stats().callback_heap_allocs);
     });
-    // sim.shard.* exist only in sharded runs: the shards == 1 registry (and
-    // therefore the golden v6 metric ids) is byte-identical to pre-shard
-    // builds. Within a fixed shard count the ids are still deterministic —
-    // the gauge set is a pure function of the shard count.
-    if (sim_.shards() > 1) {
-        metrics_registry_.add_computed("sim.shard.windows", [this] {
-            return static_cast<double>(sim_.shard_stats().windows);
-        });
-        metrics_registry_.add_computed("sim.shard.window_stalls", [this] {
-            return static_cast<double>(sim_.shard_stats().window_stalls);
-        });
-        metrics_registry_.add_computed("sim.shard.cross_messages", [this] {
-            return static_cast<double>(sim_.shard_stats().cross_messages);
-        });
-        metrics_registry_.add_computed("sim.shard.cross_clamped", [this] {
-            return static_cast<double>(sim_.shard_stats().cross_clamped);
-        });
-        for (int k = 0; k < sim_.shards(); ++k) {
-            metrics_registry_.add_computed(
-                "sim.shard." + std::to_string(k) + ".dispatched",
-                [this, k] { return static_cast<double>(sim_.shard_dispatched(k)); });
-        }
-    }
 
     metrics_registry_.add_computed("fault.applied", [this] {
         return static_cast<double>(fault_engine_->faults_applied());

@@ -84,18 +84,8 @@ struct SimulationConfig {
     /// Thread count for the *analysis* runtime (common/parallel.hpp) that
     /// post-run measurement passes use; 0 keeps the NS_THREADS/-hardware
     /// default. This knob cannot change trace bytes, only how fast the
-    /// tables/figures are computed afterwards (docs/PARALLELISM.md). Event
-    /// *execution* parallelism is the `shards` knob below, not this one.
+    /// tables/figures are computed afterwards (docs/PARALLELISM.md).
     int threads = 0;
-
-    /// Region shards for the simulation core (docs/PARALLELISM.md "The
-    /// sharded simulation core"). 0 = unset: take NS_SIM_SHARDS from the
-    /// environment, defaulting to 1. 1 is the legacy single-queue engine,
-    /// byte-identical to pre-shard builds. Values > 1 window-batch the event
-    /// loop and the flow solver per region shard: runs are byte-identical
-    /// for a FIXED shard count, but traces differ ACROSS shard counts
-    /// (measurements agree within documented tolerances).
-    int shards = 0;
 };
 
 class Simulation {

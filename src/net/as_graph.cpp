@@ -11,6 +11,7 @@ constexpr std::uint32_t kFirstAsn = 1000;
 // Each AS gets a /12 block: 2^20 client addresses, never reused, so every
 // allocated IP is globally unique (Table 1 counts distinct IPs).
 constexpr int kPrefixLen = 12;
+static_assert(AsGraphConfig::kMaxAses == 1 << kPrefixLen, "one /12 block per AS");
 
 std::uint64_t edge_key(std::size_t i, std::size_t j) noexcept {
     if (i > j) std::swap(i, j);
@@ -24,7 +25,7 @@ AsGraph AsGraph::generate(const AsGraphConfig& config, Rng rng) {
     const auto n_countries = world.size();
     if (config.total_ases < static_cast<int>(n_countries))
         throw std::invalid_argument("AsGraphConfig.total_ases must cover every country");
-    if (config.total_ases > (1 << kPrefixLen))
+    if (config.total_ases > AsGraphConfig::kMaxAses)
         throw std::invalid_argument("too many ASes for the /12 address plan");
 
     // Distribute AS counts over countries proportionally to peer weight,

@@ -29,6 +29,9 @@ struct AsInfo {
 };
 
 struct AsGraphConfig {
+    /// Most ASes the address plan holds: every AS owns a /12 block.
+    static constexpr int kMaxAses = 1 << 12;
+
     int total_ases = 2000;       // ASes across all countries (>= #countries)
     int tier1_count = 10;        // global clique
     /// AS size distribution shape. Real ISP populations are extremely

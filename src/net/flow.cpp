@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/parallel.hpp"
-
 namespace netsession::net {
 
 namespace {
@@ -20,20 +18,8 @@ double naive_share(Rate capacity, std::size_t degree) noexcept {
 }
 }  // namespace
 
-void FlowNetwork::configure_shards(int shards) {
-    assert(shards >= 1);
-    assert(hosts_.empty() && "shard layout must be fixed before hosts exist");
-    lanes_.clear();
-    lanes_.resize(static_cast<std::size_t>(shards));
-}
-
-void FlowNetwork::set_host_shard(HostId h, int shard) {
-    assert(shard >= 0 && shard < shards());
-    hosts_[h.value].lane = static_cast<std::uint32_t>(shard);
-}
-
 HostId FlowNetwork::add_host(Rate up, Rate down) {
-    hosts_.push_back(Host{up, down, {}, {}, 0, false});
+    hosts_.push_back(Host{up, down, {}, {}, false});
     return HostId{static_cast<std::uint32_t>(hosts_.size() - 1)};
 }
 
@@ -115,16 +101,9 @@ FlowId FlowNetwork::start_flow(HostId src, HostId dst, Bytes size, Rate cap,
         if (s != kDeadSlot) mark_dirty(flow_at(s).src);
     process_dirty();
 
-    if (deferred()) {
-        // Window-batched: the barrier refills assign the rate; the pending
-        // list covers flows between unconstrained hosts that no refill
-        // will ever touch.
-        pending_apply_.push_back(slot);
-    } else if (flow_at(slot).active && flow_at(slot).rate == 0.0) {
-        // If neither endpoint has a finite constraint the refills never
-        // touched the flow; give it its cap.
-        apply_rate(slot);
-    }
+    // If neither endpoint has a finite constraint the refills never touched
+    // the flow; give it its cap.
+    if (flow_at(slot).active && flow_at(slot).rate == 0.0) apply_rate(slot);
     return make_id(slot);
 }
 
@@ -157,16 +136,6 @@ Rate FlowNetwork::current_rate(FlowId id) const {
 
 arena::PoolStats FlowNetwork::pool_stats() const noexcept { return flow_pool_.stats(); }
 
-FlowNetwork::Stats FlowNetwork::stats() const noexcept {
-    Stats s = stats_;
-    for (const LaneState& ls : lanes_) {
-        s.refills += ls.refills;
-        s.resort_hits += ls.resort_hits;
-        s.resort_misses += ls.resort_misses;
-    }
-    return s;
-}
-
 int FlowNetwork::out_degree(HostId h) const {
     return static_cast<int>(hosts_[h.value].out.live());
 }
@@ -181,7 +150,7 @@ void FlowNetwork::set_up_capacity(HostId h, Rate up) {
         for (const auto s : hosts_[h.value].out.entries) {
             if (s == kDeadSlot) continue;
             flow_at(s).alloc_src = kUnlimited;
-            defer_apply(s);
+            apply_rate(s);
         }
     }
     mark_dirty(h);
@@ -197,7 +166,7 @@ void FlowNetwork::set_down_capacity(HostId h, Rate down) {
         for (const auto s : hosts_[h.value].in.entries) {
             if (s == kDeadSlot) continue;
             flow_at(s).alloc_dst = kUnlimited;
-            defer_apply(s);
+            apply_rate(s);
         }
     }
     mark_dirty(h);
@@ -210,10 +179,6 @@ void FlowNetwork::settle(std::uint32_t slot) {
     Flow& f = flow_at(slot);
     const sim::SimTime now = sim_->now();
     const double dt = (now - f.last_settle).seconds();
-    // dt < 0 happens only under the sharded engine, when a later shard's
-    // in-window event (whose lane clock trails an earlier shard's) queries a
-    // flow already settled further ahead; last_settle must never rewind or
-    // the overlap would be double-counted at the next settle.
     if (dt <= 0.0) return;
     f.last_settle = now;
     if (f.rate <= 0.0) return;
@@ -239,16 +204,7 @@ void FlowNetwork::reschedule(std::uint32_t slot) {
         const double dt_s = f.remaining / f.rate;
         dt = sim::Duration{static_cast<std::int64_t>(std::ceil(dt_s * 1e6)) + 1};
     }
-    if (deferred()) {
-        // Completion events are pinned to the destination host's shard.
-        // reschedule only runs at barriers or from the flow's own completion
-        // event (already in that shard), so this is always a direct push and
-        // the handle stays cancellable.
-        f.completion = sim_->schedule_in_shard(host_shard(f.dst), sim_->now() + dt,
-                                               [this, slot] { complete(slot); });
-    } else {
-        f.completion = sim_->schedule_after(dt, [this, slot] { complete(slot); });
-    }
+    f.completion = sim_->schedule_after(dt, [this, slot] { complete(slot); });
 }
 
 void FlowNetwork::complete(std::uint32_t slot) {
@@ -307,87 +263,26 @@ void FlowNetwork::mark_dirty(HostId h) {
     if (host.up == kUnlimited && host.down == kUnlimited) return;
     if (host.queued) return;
     host.queued = true;
-    lanes_[host.lane].dirty.push_back(h);
+    dirty_.push_back(h);
 }
 
 void FlowNetwork::process_dirty() {
-    // Sharded solver: mutations only mark; solve_barrier() drains the
-    // per-shard queues at the next window barrier.
-    if (deferred()) return;
     if (processing_) return;  // the outermost mutator drains the queue
     processing_ = true;
-    LaneState& ls = lanes_[0];
-    while (!ls.dirty.empty()) {
-        const HostId h = ls.dirty.back();
-        ls.dirty.pop_back();
+    while (!dirty_.empty()) {
+        const HostId h = dirty_.back();
+        dirty_.pop_back();
         hosts_[h.value].queued = false;
-        refill_host(h, ls);
+        refill_host(h);
     }
     processing_ = false;
 }
 
-void FlowNetwork::defer_apply(std::uint32_t slot) {
-    if (deferred()) {
-        pending_apply_.push_back(slot);
-    } else {
-        apply_rate(slot);
-    }
-}
-
-void FlowNetwork::solve_barrier() {
-    if (!deferred()) return;
-    bool any = !pending_apply_.empty();
-    for (const LaneState& ls : lanes_)
-        if (!ls.dirty.empty()) any = true;
-    if (!any) return;
-    // Parallel refill round: each shard drains its own dirty queue. A host
-    // sits in exactly one queue (its own shard's), a refill writes only that
-    // host's adjacency caches and its own side's flow allocations, and the
-    // neighbour capacities/degrees it reads are frozen for the round — so
-    // shards are write-disjoint and the round is order-independent.
-    parallel::detail::run_tasks(
-        lanes_.size(),
-        [](void* p, std::size_t k) {
-            auto* self = static_cast<FlowNetwork*>(p);
-            LaneState& ls = self->lanes_[k];
-            while (!ls.dirty.empty()) {
-                const HostId h = ls.dirty.back();
-                ls.dirty.pop_back();
-                self->hosts_[h.value].queued = false;
-                self->refill_host(h, ls);
-            }
-        },
-        this);
-    // Serial exchange, ascending shard order: cross-shard flows touched by
-    // the round get their rate applied exactly once, in an order that is a
-    // pure function of the queue contents (docs/PARALLELISM.md rule 3).
-    exchange_applied_.clear();
-    for (LaneState& ls : lanes_) {
-        for (const auto s : ls.exchange) {
-            Flow& f = flow_at(s);
-            if (f.in_exchange) continue;
-            f.in_exchange = true;
-            exchange_applied_.push_back(s);
-            apply_rate(s);
-        }
-        ls.exchange.clear();
-    }
-    for (const auto s : exchange_applied_) flow_at(s).in_exchange = false;
-    // Unconditional applies: new flows (possibly between unconstrained hosts
-    // no refill touches) and capacity lifts. Slot reuse within a window can
-    // leave stale or duplicate entries; apply_rate no-ops on inactive flows
-    // and re-applying an unchanged rate is epsilon-gated.
-    for (const auto s : pending_apply_) {
-        if (s < flow_pool_.slot_count() && flow_pool_.is_live(s)) apply_rate(s);
-    }
-    pending_apply_.clear();
-}
-
-void FlowNetwork::refill_host(HostId h, LaneState& ls) {
+void FlowNetwork::refill_host(HostId h) {
     Host& host = hosts_[h.value];
-    ++ls.refills;
-    fill_side(host.up, host.out, /*side_is_up=*/true, ls);
-    fill_side(host.down, host.in, /*side_is_up=*/false, ls);
+    ++stats_.refills;
+    fill_side(host.up, host.out, /*side_is_up=*/true);
+    fill_side(host.down, host.in, /*side_is_up=*/false);
 }
 
 // Water-fills `capacity` over one side's flows; the bound of each flow is its
@@ -400,9 +295,9 @@ void FlowNetwork::refill_host(HostId h, LaneState& ls) {
 // the O(d log d) sort entirely if they still come out sorted — the common
 // case, since a neighbour's degree change shifts many bounds by the same
 // factor. Either path yields the exact sequence a full sort would.
-void FlowNetwork::fill_side(Rate capacity, AdjList& adj, bool side_is_up, LaneState& ls) {
+void FlowNetwork::fill_side(Rate capacity, AdjList& adj, bool side_is_up) {
     if (capacity == kUnlimited || adj.live() == 0) return;
-    auto& scratch = ls.fill_scratch;
+    auto& scratch = fill_scratch_;
     scratch.clear();
     const auto bound_of = [&](std::uint32_t s) {
         const Flow& f = flow_at(s);
@@ -414,11 +309,11 @@ void FlowNetwork::fill_side(Rate capacity, AdjList& adj, bool side_is_up, LaneSt
     if (adj.sorted_epoch == adj.epoch) {
         for (const auto s : adj.sorted) scratch.emplace_back(bound_of(s), s);
         if (std::is_sorted(scratch.begin(), scratch.end())) {
-            ++ls.resort_hits;
+            ++stats_.resort_hits;
         } else {
             std::sort(scratch.begin(), scratch.end());
             for (std::size_t i = 0; i < scratch.size(); ++i) adj.sorted[i] = scratch[i].second;
-            ++ls.resort_misses;
+            ++stats_.resort_misses;
         }
     } else {
         for (const auto s : adj.entries)
@@ -427,7 +322,7 @@ void FlowNetwork::fill_side(Rate capacity, AdjList& adj, bool side_is_up, LaneSt
         adj.sorted.resize(scratch.size());
         for (std::size_t i = 0; i < scratch.size(); ++i) adj.sorted[i] = scratch[i].second;
         adj.sorted_epoch = adj.epoch;
-        ++ls.resort_misses;
+        ++stats_.resort_misses;
     }
     double remaining = capacity;
     std::size_t k = scratch.size();
@@ -450,23 +345,8 @@ void FlowNetwork::fill_side(Rate capacity, AdjList& adj, bool side_is_up, LaneSt
         Flow& f = flow_at(scratch[i].second);
         (side_is_up ? f.alloc_src : f.alloc_dst) = level;
     }
-    if (!deferred()) {
-        for (const auto s : adj.entries)
-            if (s != kDeadSlot) apply_rate(s);
-        return;
-    }
-    // Batched round: apply intra-shard flows here (their whole state belongs
-    // to this shard); queue cross-shard flows for the serial exchange — the
-    // other endpoint's shard may still be filling its side's allocation.
-    for (const auto s : adj.entries) {
-        if (s == kDeadSlot) continue;
-        const Flow& f = flow_at(s);
-        if (hosts_[f.src.value].lane == hosts_[f.dst.value].lane) {
-            apply_rate(s);
-        } else {
-            ls.exchange.push_back(s);
-        }
-    }
+    for (const auto s : adj.entries)
+        if (s != kDeadSlot) apply_rate(s);
 }
 
 void FlowNetwork::apply_rate(std::uint32_t slot) {

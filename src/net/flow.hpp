@@ -26,19 +26,6 @@
 // Edge servers are modelled with unlimited uplinks plus a per-connection cap,
 // which matches reality (Akamai's serving capacity is not the bottleneck of a
 // client download) and keeps their degree from coupling thousands of flows.
-//
-// Region sharding (docs/PARALLELISM.md): with configure_shards(S > 1) the
-// solver switches from immediate relaxation to *window-batched* solving.
-// Mutations (start/cancel/complete/capacity changes) only mark hosts dirty;
-// solve_barrier() — invoked from the simulator's window barrier — then runs
-// one relaxation round with each shard draining its own dirty queue (in
-// parallel on the pool when available: a host's refill writes only its own
-// side's allocations, so shards are write-disjoint), followed by a serial
-// cross-shard exchange in ascending shard order that applies the rates of
-// flows spanning shards. Completion events are pinned to the destination
-// host's shard. Rates are therefore updated at window granularity instead of
-// per-mutation — deterministic for a fixed shard count, byte-identical to
-// the legacy path at shards == 1.
 #pragma once
 
 #include <cstdint>
@@ -96,22 +83,6 @@ public:
     FlowNetwork(const FlowNetwork&) = delete;
     FlowNetwork& operator=(const FlowNetwork&) = delete;
 
-    /// Switches to window-batched per-shard solving (see header comment).
-    /// Must be called before any host is added; shards == 1 is the legacy
-    /// immediate-relaxation solver, byte-for-byte.
-    void configure_shards(int shards);
-    [[nodiscard]] int shards() const noexcept { return static_cast<int>(lanes_.size()); }
-
-    /// Tags a host with its shard (World pins it from the host's region).
-    void set_host_shard(HostId h, int shard);
-    [[nodiscard]] int host_shard(HostId h) const noexcept {
-        return static_cast<int>(hosts_[h.value].lane);
-    }
-
-    /// Batched solve, called from the simulator's window barrier when
-    /// sharded. No-op on the legacy solver or when nothing is dirty.
-    void solve_barrier();
-
     /// Adds a host with the given link capacities; returns its index.
     HostId add_host(Rate up, Rate down);
 
@@ -164,15 +135,12 @@ public:
     /// Relative rate change below which updates do not propagate.
     void set_epsilon(double eps) noexcept { epsilon_ = eps; }
 
-    /// Snapshot (refill/sort-cache counters are kept per shard and summed).
-    [[nodiscard]] Stats stats() const noexcept;
+    [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
     /// Flow-slab storage accounting for the mem.* gauges.
     [[nodiscard]] arena::PoolStats pool_stats() const noexcept;
 
 private:
-    struct LaneState;  // per-shard solver state, defined below
-
     /// Tombstone marker inside adjacency lists.
     static constexpr std::uint32_t kDeadSlot = 0xFFFFFFFFu;
     /// Sort-cache epoch meaning "no cached order".
@@ -199,8 +167,7 @@ private:
         Rate down = kUnlimited;
         AdjList out;
         AdjList in;
-        std::uint32_t lane = 0;  // shard the host is pinned to
-        bool queued = false;     // already in its shard's dirty work queue
+        bool queued = false;  // already in the dirty work queue
     };
 
     struct Flow {
@@ -218,9 +185,6 @@ private:
         std::uint32_t src_pos = 0;  // index in hosts_[src].out.entries
         std::uint32_t dst_pos = 0;  // index in hosts_[dst].in.entries
         bool active = false;
-        /// Dedup mark used by the serial cross-shard exchange (set and
-        /// cleared within one solve_barrier call; serial contexts only).
-        bool in_exchange = false;
     };
 
     /// Slot generations live in the pool; FlowId packs (generation + 1) so
@@ -243,33 +207,13 @@ private:
     void process_dirty();
     /// Recomputes one side's water-fill and applies new rates; marks
     /// neighbours whose allocation changed materially.
-    void refill_host(HostId h, LaneState& ls);
+    void refill_host(HostId h);
     void apply_rate(std::uint32_t slot);
-    /// Defers apply_rate(slot) to the next barrier (sharded solver only).
-    void defer_apply(std::uint32_t slot);
 
     void adj_push(AdjList& adj, std::uint32_t slot, std::uint32_t Flow::* pos_field);
     void adj_remove(AdjList& adj, std::uint32_t pos, std::uint32_t Flow::* pos_field);
     /// Water-fills one host side; factored out of refill_host.
-    void fill_side(Rate capacity, AdjList& adj, bool side_is_up, LaneState& ls);
-
-    /// Per-shard solver state. A host is in at most one dirty queue (its own
-    /// shard's, guarded by Host::queued); during the barrier's parallel
-    /// refill round each shard touches only its own LaneState, its own
-    /// hosts' adjacency caches, and its own side of cross-shard flows.
-    struct LaneState {
-        std::vector<HostId> dirty;
-        /// Cross-shard flows touched by this shard's refills, awaiting the
-        /// serial exchange (may hold duplicates; the exchange dedups).
-        std::vector<std::uint32_t> exchange;
-        // Scratch buffer for water-filling (avoid per-call allocation).
-        std::vector<std::pair<double, std::uint32_t>> fill_scratch;
-        std::uint64_t refills = 0;
-        std::uint64_t resort_hits = 0;
-        std::uint64_t resort_misses = 0;
-    };
-
-    [[nodiscard]] bool deferred() const noexcept { return lanes_.size() > 1; }
+    void fill_side(Rate capacity, AdjList& adj, bool side_is_up);
 
     sim::Simulator* sim_;
     std::vector<Host> hosts_;
@@ -277,12 +221,9 @@ private:
     /// generations back the FlowId staleness check. Flows are *released*
     /// (parked), never destroyed, so every slot stays constructed.
     arena::Pool<Flow> flow_pool_;
-    std::vector<LaneState> lanes_{1};
-    /// Slots needing an apply_rate at the next barrier regardless of refills
-    /// (new flows, capacity lifts). Serial contexts only; slot reuse within a
-    /// window leaves stale entries, which apply_rate tolerates.
-    std::vector<std::uint32_t> pending_apply_;
-    std::vector<std::uint32_t> exchange_applied_;  // scratch for solve_barrier
+    std::vector<HostId> dirty_;  // hosts awaiting a refill (Host::queued dedups)
+    // Scratch buffer for water-filling (avoid per-call allocation).
+    std::vector<std::pair<double, std::uint32_t>> fill_scratch_;
     bool processing_ = false;
     double epsilon_ = 0.02;
     Bytes total_delivered_ = 0;

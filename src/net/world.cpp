@@ -1,50 +1,18 @@
 #include "net/world.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <string>
 
 #include "net/world_data.hpp"
 
 namespace netsession::net {
 
-void World::configure_shards(int shards) {
-    assert(shards >= 1);
-    assert(hosts_.empty() && "shard layout must be fixed before hosts exist");
-    shard_count_ = shards;
-    flows_.configure_shards(shards);
-    lane_loss_rngs_.clear();
-    if (shards > 1) {
-        lane_loss_rngs_.reserve(static_cast<std::size_t>(shards));
-        Rng base{0xFA017FA017FA017ULL};
-        for (int k = 0; k < shards; ++k)
-            lane_loss_rngs_.push_back(base.child("loss-shard-" + std::to_string(k)));
-    }
-}
-
 HostId World::create_host(HostInfo info) {
     if (info.attach.ip.value == 0) info.attach.ip = as_graph_.allocate_ip(info.attach.asn);
     geodb_.register_ip(info.attach.ip, GeoRecord{info.attach.location, info.attach.asn});
     const HostId h = flows_.add_host(info.up, info.down);
-    if (shard_count_ > 1) {
-        const RegionId region = country(info.attach.location.country).region;
-        const auto lane = static_cast<std::uint16_t>(region.value % shard_count_);
-        host_lane_.push_back(lane);
-        flows_.set_host_shard(h, lane);
-    }
     hosts_.push_back(std::move(info));
     if (!as_faults_.empty()) apply_capacity(h);
     return h;
-}
-
-sim::EventHandle World::schedule_for(HostId h, sim::Duration delay, sim::Simulator::Callback fn) {
-    if (shard_count_ == 1) return sim_->schedule_after(delay, std::move(fn));
-    return sim_->schedule_in_shard(host_shard(h), sim_->now() + delay, std::move(fn));
-}
-
-sim::EventHandle World::schedule_for_at(HostId h, sim::SimTime at, sim::Simulator::Callback fn) {
-    if (shard_count_ == 1) return sim_->schedule_at(at, std::move(fn));
-    return sim_->schedule_in_shard(host_shard(h), at, std::move(fn));
 }
 
 void World::reattach(HostId h, Location location, Asn asn, NatType nat) {
@@ -85,25 +53,9 @@ void World::send(HostId from, HostId to, std::function<void()> fn) {
         };
         const double loss = std::max(loss_of(hosts_[from.value].attach.asn),
                                      loss_of(hosts_[to.value].attach.asn));
-        if (loss > 0.0) {
-            // Sharded runs draw from the sending lane's own stream: lane
-            // execution order is deterministic for a fixed shard count,
-            // while the interleaved global order is not a stable concept
-            // under lane-major windowing.
-            Rng& rng = shard_count_ == 1 ? fault_rng_
-                                         : lane_loss_rngs_[static_cast<std::size_t>(
-                                               sim_->current_shard())];
-            if (rng.chance(loss)) return;
-        }
+        if (loss > 0.0 && fault_rng_.chance(loss)) return;
     }
-    if (shard_count_ == 1) {
-        sim_->schedule_after(latency(from, to), std::move(fn));
-        return;
-    }
-    // Delivery runs in the destination's shard; latency() >= kLatencyFloor
-    // (the window lookahead), so cross-shard messages always land at or
-    // beyond the barrier — the conservative-window contract.
-    sim_->schedule_in_shard(host_shard(to), sim_->now() + latency(from, to), std::move(fn));
+    sim_->schedule_after(latency(from, to), std::move(fn));
 }
 
 void World::set_host_up_capacity(HostId h, Rate up) {

@@ -20,13 +20,6 @@
 
 namespace netsession::net {
 
-/// Lower bound on World::latency() for any host pair: ~1 ms of processing
-/// before distance, AS-hop penalties, and fault multipliers (all >= 1) are
-/// added. This is the conservative lookahead the sharded simulator windows
-/// are derived from (docs/PARALLELISM.md): no message sent inside a window
-/// can arrive before the window ends.
-inline constexpr sim::Duration kLatencyFloor = sim::milliseconds(1.0);
-
 /// Network attachment of a host at a point in time. Peers can re-attach
 /// (mobility, §6.2); servers never do.
 struct Attachment {
@@ -51,30 +44,6 @@ public:
 
     World(const World&) = delete;
     World& operator=(const World&) = delete;
-
-    /// Region-shards the world: each host is pinned, at creation, to shard
-    /// `region % shards` (a pure function of the static region table, so the
-    /// decomposition depends only on the shard count). Must be called before
-    /// any host exists and match the simulator's configure_shards(). With
-    /// shards == 1 (default) every path below is the legacy single-queue one.
-    void configure_shards(int shards);
-    [[nodiscard]] int shards() const noexcept { return shard_count_; }
-    /// Shard a host is pinned to. Pinned at creation; reattach() (mobility)
-    /// deliberately does NOT re-home the host — its event lane is part of
-    /// its identity, and a lane change mid-flight would tear timers away
-    /// from their events.
-    [[nodiscard]] int host_shard(HostId h) const noexcept {
-        return shard_count_ == 1 ? 0 : static_cast<int>(host_lane_[h.value]);
-    }
-
-    /// Schedules `fn` in `h`'s shard after `delay` — for setup code and
-    /// fault/driver mass events that act on a host from outside its lane.
-    /// From inside another shard's window this routes through the
-    /// cross-shard outbox (inert handle); same-shard and setup contexts get
-    /// a direct, cancellable push.
-    sim::EventHandle schedule_for(HostId h, sim::Duration delay, sim::Simulator::Callback fn);
-    /// Same, at an absolute time.
-    sim::EventHandle schedule_for_at(HostId h, sim::SimTime at, sim::Simulator::Callback fn);
 
     /// Creates a host; allocates an IP in the attachment's AS if none given
     /// and registers it with the geo database.
@@ -194,13 +163,6 @@ private:
     std::unordered_map<std::uint32_t, AsFault> as_faults_;  // keyed by Asn::value
     std::uint32_t next_as_fault_token_ = 1;
     Rng fault_rng_{0xFA017FA017FA017ULL};  // loss draws only; constant seed
-    // Sharded mode only: the shard of every host (pinned at creation) and a
-    // loss stream per shard, so draws happen in each lane's own
-    // deterministic execution order instead of the global event order
-    // (which lane-major windowing permutes).
-    int shard_count_ = 1;
-    std::vector<std::uint16_t> host_lane_;
-    std::vector<Rng> lane_loss_rngs_;
 };
 
 }  // namespace netsession::net

@@ -68,7 +68,7 @@ struct ClientConfig {
     /// Whether an offline client demotes its state into the registry's
     /// ColdStore (a few hundred bytes) instead of staying fully resident.
     /// Purely a memory-layout knob — traces are byte-identical either way
-    /// (NS_NO_HIBERNATE=1 clears it; the differential suite relies on that).
+    /// (the hibernation differential suite runs both settings).
     bool hibernate_offline = true;
 
     // --- failure hardening (§3.8: graceful degradation) ---------------------

@@ -193,7 +193,7 @@ void NetSessionClient::write_cold(ColdWriter& w) const {
 
 void NetSessionClient::hibernate() {
     if (running_ || res_ == nullptr) return;
-    if (!config_->hibernate_offline) return;  // NS_NO_HIBERNATE escape hatch
+    if (!config_->hibernate_offline) return;
 
     // Park the per-download callbacks shell-side (non-POD; the blob holds
     // raw bytes only), in downloads-map insertion order.

@@ -1,290 +1,78 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <cassert>
-
-#include "common/parallel.hpp"
-
 namespace netsession::sim {
 
-namespace {
-
-/// Thread-local dispatch context. Lane execution — serial or on the pool —
-/// publishes (simulator, lane, event timestamp) here so that now(),
-/// current_shard() and the schedule_* lane inheritance work identically
-/// whichever thread runs the callback. Keyed by simulator pointer so nested
-/// or test-local simulators never read another engine's context.
-struct DispatchCtx {
-    const void* sim = nullptr;
-    int lane = 0;
-    SimTime now{};
-};
-thread_local DispatchCtx tl_dispatch;
-
-constexpr SimTime kEndOfTime{std::numeric_limits<std::int64_t>::max()};
-
-}  // namespace
-
-void Simulator::configure_shards(int shards, Duration lookahead) {
-    assert(shards >= 1);
-    assert(lookahead.us > 0);
-    // Re-sharding a populated engine would orphan scheduled events; the
-    // shard layout is fixed before the world is built.
-    assert(pending() == 0 && events_dispatched() == 0);
-    lanes_.clear();
-    lanes_.resize(static_cast<std::size_t>(shards));
-    outboxes_.clear();
-    outboxes_.resize(static_cast<std::size_t>(shards));
-    lookahead_ = lookahead;
-    shard_stats_ = {};
-    window_dispatched_.assign(static_cast<std::size_t>(shards), 0);
-}
-
-int Simulator::current_shard() const noexcept {
-    const DispatchCtx& ctx = tl_dispatch;
-    return ctx.sim == this ? ctx.lane : 0;
-}
-
-SimTime Simulator::now() const noexcept {
-    const DispatchCtx& ctx = tl_dispatch;
-    return ctx.sim == this ? ctx.now : now_;
-}
-
-EventHandle Simulator::push_into(Lane& lane, std::uint32_t lane_index, SimTime at, Callback cb) {
-    const std::uint64_t seq = lane.next_seq++;
+EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
+    if (at < now_) at = now_;
+    const std::uint64_t seq = next_seq_++;
     std::uint32_t slot;
-    if (!lane.free_slots.empty()) {
-        slot = lane.free_slots.back();
-        lane.free_slots.pop_back();
+    if (!free_slots_.empty()) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(lane.slots.size());
-        lane.slots.emplace_back();
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
     }
-    Slot& s = lane.slots[slot];
+    Slot& s = slots_[slot];
     s.cb = std::move(cb);
     s.seq = seq;
-    lane.queue.push(HeapEntry{at, seq, slot});
-    ++lane.live;
-    ++lane.stats.scheduled;
-    if (s.cb.heap_allocated()) ++lane.stats.callback_heap_allocs;
-    return EventHandle{seq, slot, lane_index};
-}
-
-EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
-    const DispatchCtx& ctx = tl_dispatch;
-    if (ctx.sim == this) {
-        // Inside a dispatching callback: stay in the executing lane, clamp
-        // against the executing event's timestamp.
-        if (at < ctx.now) at = ctx.now;
-        return push_into(lanes_[static_cast<std::size_t>(ctx.lane)],
-                         static_cast<std::uint32_t>(ctx.lane), at, std::move(cb));
-    }
-    if (at < now_) at = now_;
-    return push_into(lanes_[0], 0, at, std::move(cb));
-}
-
-EventHandle Simulator::schedule_in_shard(int shard, SimTime at, Callback cb) {
-    assert(shard >= 0 && shard < shards());
-    const DispatchCtx& ctx = tl_dispatch;
-    const SimTime local_now = (ctx.sim == this) ? ctx.now : now_;
-    if (at < local_now) at = local_now;
-    if (in_window_ && ctx.sim == this && ctx.lane != shard) {
-        // Cross-shard send from inside a window: park it in the sender's
-        // outbox. The barrier merges outboxes in ascending source-lane order,
-        // so the destination seq — and therefore same-timestamp ordering —
-        // is a pure function of (window, source shard, send order).
-        outboxes_[static_cast<std::size_t>(ctx.lane)].push_back(
-            CrossEntry{at, static_cast<std::uint32_t>(shard), std::move(cb)});
-        return EventHandle{};
-    }
-    return push_into(lanes_[static_cast<std::size_t>(shard)], static_cast<std::uint32_t>(shard),
-                     at, std::move(cb));
+    queue_.push(HeapEntry{at, seq, slot});
+    ++live_;
+    ++stats_.scheduled;
+    if (s.cb.heap_allocated()) ++stats_.callback_heap_allocs;
+    return EventHandle{seq, slot};
 }
 
 bool Simulator::cancel(EventHandle h) {
-    if (!h.valid() || h.shard_ >= lanes_.size()) return false;
-    Lane& lane = lanes_[h.shard_];
-    if (h.slot_ >= lane.slots.size()) return false;
-    Slot& s = lane.slots[h.slot_];
+    if (!h.valid() || h.slot_ >= slots_.size()) return false;
+    Slot& s = slots_[h.slot_];
     // A dispatched, cancelled, or recycled slot no longer carries the
     // handle's seq, so stale cancels fall out here without any bookkeeping.
     if (s.seq != h.seq_) return false;
     s.seq = 0;
     s.cb.reset();  // release captures now; the heap entry drains lazily
-    --lane.live;
-    ++lane.stats.cancelled;
+    --live_;
+    ++stats_.cancelled;
     return true;
 }
 
-bool Simulator::purge_cancelled_top(Lane& lane) {
-    while (!lane.queue.empty()) {
-        const HeapEntry& e = lane.queue.top();
-        if (lane.slots[e.slot].seq == e.seq) return true;
+bool Simulator::purge_cancelled_top() {
+    while (!queue_.empty()) {
+        const HeapEntry& e = queue_.top();
+        if (slots_[e.slot].seq == e.seq) return true;
         // Stale entry: its event was cancelled. The slot could not be reused
         // while this entry was queued; recycle it now.
-        lane.free_slots.push_back(e.slot);
-        lane.queue.pop();
+        free_slots_.push_back(e.slot);
+        queue_.pop();
     }
     return false;
 }
 
 bool Simulator::step() {
-    assert(lanes_.size() == 1 && "step() is single-queue only; sharded mode runs in windows");
-    Lane& lane = lanes_[0];
-    if (!purge_cancelled_top(lane)) return false;
-    const HeapEntry e = lane.queue.top();
-    lane.queue.pop();
-    Slot& s = lane.slots[e.slot];
+    if (!purge_cancelled_top()) return false;
+    const HeapEntry e = queue_.top();
+    queue_.pop();
+    Slot& s = slots_[e.slot];
     Callback cb = std::move(s.cb);
     s.seq = 0;
-    lane.free_slots.push_back(e.slot);
+    free_slots_.push_back(e.slot);
     now_ = e.at;
-    ++lane.stats.dispatched;
-    --lane.live;
+    ++stats_.dispatched;
+    --live_;
     cb();
     return true;
 }
 
-std::uint64_t Simulator::drain_lane_window(int lane_index, SimTime w_end, SimTime until) {
-    Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-    DispatchCtx& ctx = tl_dispatch;
-    const DispatchCtx saved = ctx;
-    ctx.sim = this;
-    ctx.lane = lane_index;
-    std::uint64_t dispatched = 0;
-    // Events scheduled by an in-window callback for a time still inside the
-    // window run in this same pass — the loop re-reads the heap top, exactly
-    // like the serial engine would.
-    while (purge_cancelled_top(lane)) {
-        const HeapEntry e = lane.queue.top();
-        if (e.at >= w_end || e.at > until) break;
-        lane.queue.pop();
-        Slot& s = lane.slots[e.slot];
-        Callback cb = std::move(s.cb);
-        s.seq = 0;
-        lane.free_slots.push_back(e.slot);
-        ctx.now = e.at;
-        ++lane.stats.dispatched;
-        --lane.live;
-        ++dispatched;
-        cb();
-    }
-    ctx = saved;
-    return dispatched;
-}
-
-void Simulator::drain_outboxes(SimTime w_end) {
-    // Ascending source-lane order; within a source lane, send order. Both are
-    // deterministic under serial *and* parallel dispatch (each outbox is
-    // appended to only by its own lane), so the destination seqs assigned
-    // here are reproducible for a fixed shard count.
-    for (auto& outbox : outboxes_) {
-        for (CrossEntry& e : outbox) {
-            SimTime at = e.at;
-            if (at < w_end) {
-                // Lookahead contract violation (a cross-shard latency below
-                // the configured window). Clamp to keep the next window
-                // conservative; the counter makes the violation visible.
-                at = w_end;
-                ++shard_stats_.cross_clamped;
-            }
-            push_into(lanes_[e.dst], e.dst, at, std::move(e.cb));
-            ++shard_stats_.cross_messages;
-        }
-        outbox.clear();
-    }
-}
-
-void Simulator::run_windows(SimTime until) {
-    const int shards = this->shards();
-    for (;;) {
-        // Window start: the globally earliest pending timestamp. Windows jump
-        // — an idle stretch costs one scan, not lookahead-sized ticks.
-        SimTime t0 = kEndOfTime;
-        for (Lane& lane : lanes_) {
-            if (purge_cancelled_top(lane) && lane.queue.top().at < t0) t0 = lane.queue.top().at;
-        }
-        if (t0 == kEndOfTime || t0 > until) break;
-        const SimTime w_end = t0 + lookahead_;
-        ++shard_stats_.windows;
-        in_window_ = true;
-        if (parallel_dispatch_ && shards > 1) {
-            struct Ctx {
-                Simulator* self;
-                SimTime w_end, until;
-            } ctx{this, w_end, until};
-            parallel::detail::run_tasks(
-                static_cast<std::size_t>(shards),
-                [](void* p, std::size_t lane) {
-                    auto* c = static_cast<Ctx*>(p);
-                    c->self->window_dispatched_[lane] =
-                        c->self->drain_lane_window(static_cast<int>(lane), c->w_end, c->until);
-                },
-                &ctx);
-        } else {
-            for (int k = 0; k < shards; ++k) {
-                window_dispatched_[static_cast<std::size_t>(k)] =
-                    drain_lane_window(k, w_end, until);
-            }
-        }
-        in_window_ = false;
-        for (int k = 0; k < shards; ++k) {
-            if (window_dispatched_[static_cast<std::size_t>(k)] == 0) {
-                ++shard_stats_.window_stalls;
-            }
-        }
-        // Barrier time: the window end, clamped to the run bound so
-        // run_until() never advances the clock past its caller's horizon.
-        now_ = std::max(now_, std::min(w_end, until));
-        if (barrier_hook_) barrier_hook_();
-        drain_outboxes(w_end);
-    }
-}
-
 void Simulator::run() {
-    if (lanes_.size() == 1) {
-        while (step()) {
-        }
-        return;
+    while (step()) {
     }
-    run_windows(kEndOfTime);
 }
 
 void Simulator::run_until(SimTime until) {
-    if (lanes_.size() == 1) {
-        Lane& lane = lanes_[0];
-        // The bound must be checked against the next *live* event — a
-        // cancelled event at the top must not let a far-future event slip
-        // through.
-        while (purge_cancelled_top(lane) && lane.queue.top().at <= until) step();
-        if (now_ < until) now_ = until;
-        return;
-    }
-    run_windows(until);
+    // The bound must be checked against the next *live* event — a cancelled
+    // event at the top must not let a far-future event slip through.
+    while (purge_cancelled_top() && queue_.top().at <= until) step();
     if (now_ < until) now_ = until;
-}
-
-std::uint64_t Simulator::events_dispatched() const noexcept {
-    std::uint64_t total = 0;
-    for (const Lane& lane : lanes_) total += lane.stats.dispatched;
-    return total;
-}
-
-std::size_t Simulator::pending() const noexcept {
-    std::size_t total = 0;
-    for (const Lane& lane : lanes_) total += lane.live;
-    return total;
-}
-
-Simulator::Stats Simulator::stats() const noexcept {
-    Stats total;
-    for (const Lane& lane : lanes_) {
-        total.scheduled += lane.stats.scheduled;
-        total.dispatched += lane.stats.dispatched;
-        total.cancelled += lane.stats.cancelled;
-        total.callback_heap_allocs += lane.stats.callback_heap_allocs;
-    }
-    return total;
 }
 
 }  // namespace netsession::sim

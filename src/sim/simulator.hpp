@@ -13,37 +13,13 @@
 // already-cancelled event is structurally a no-op because the slab seq no
 // longer matches the handle.
 //
-// Region sharding (docs/PARALLELISM.md "The sharded simulation core"):
-// configure_shards(S, lookahead) splits the engine into S independent lanes,
-// each with its own heap + slab + seq stream. Execution proceeds in
-// conservative-lookahead windows: every window starts at the globally
-// earliest pending timestamp T0 and covers [T0, T0 + lookahead); lanes drain
-// their in-window events one lane at a time in ascending shard order (or on
-// the parallel pool when parallel dispatch is enabled — lanes must then be
-// isolated), and cross-shard messages land in per-source-lane outboxes that
-// are merged at the window barrier in ascending source-shard order. The
-// lookahead must not exceed the minimum cross-shard message latency
-// (net::kLatencyFloor for the deployment), which is what makes the window
-// conservative: nothing another lane does inside the current window can
-// schedule work into it.
-//
-// Ordering contract (pinned by tests/sim/test_sharded_simulator.cpp):
-//   - within a lane: (timestamp, lane-local seq) — FIFO on ties, exactly the
-//     single-queue engine's contract;
-//   - across lanes: window-batched, ascending shard id within a window;
-//   - cross-shard messages: merged at barriers by (source shard, send order),
-//     then ordered by (timestamp, destination-lane seq) like any event.
+// Ordering contract: events dispatch by (timestamp, seq) — FIFO on ties.
 // Slot indices NEVER participate in ordering — slots are recycled storage,
 // so any comparator falling back on them would make dispatch order depend on
 // allocation history (see SameTimestampOrderIsIndependentOfSlotReuse).
-//
-// With shards == 1 (the default) every call takes the exact legacy
-// single-queue path, byte-for-byte.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <queue>
 #include <vector>
 
@@ -53,10 +29,7 @@
 namespace netsession::sim {
 
 /// Handle to a scheduled event; can be used to cancel it. Default-constructed
-/// handles are inert. Cross-shard sends routed through a window outbox return
-/// an inert handle: their destination seq is only assigned at the barrier, so
-/// they cannot be cancelled (callers that need cancellable timers schedule
-/// them in their own shard).
+/// handles are inert.
 class EventHandle {
 public:
     EventHandle() = default;
@@ -65,29 +38,20 @@ public:
     /// Slab slot this handle points at (observable so tests can assert slot
     /// reuse; the seq is what actually validates a handle).
     [[nodiscard]] std::uint32_t slot() const noexcept { return slot_; }
-    /// Lane the event was scheduled into (0 on the single-queue engine).
-    [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
 
 private:
     friend class Simulator;
-    EventHandle(std::uint64_t seq, std::uint32_t slot, std::uint32_t shard) noexcept
-        : seq_(seq), slot_(slot), shard_(shard) {}
-    std::uint64_t seq_ = 0;  // unique per schedule call within its lane, never reused
+    EventHandle(std::uint64_t seq, std::uint32_t slot) noexcept : seq_(seq), slot_(slot) {}
+    std::uint64_t seq_ = 0;  // unique per schedule call, never reused
     std::uint32_t slot_ = 0;
-    std::uint32_t shard_ = 0;
 };
 
-/// The event loop. Serial by default; configure_shards() turns on the
-/// region-sharded windowed mode described above. Even in sharded mode all
-/// *control* methods (run, schedule from outside a window, cancel) must be
-/// called from one thread; only in-window lane execution may fan out, and
-/// only when the caller guarantees lane isolation.
+/// The event loop. Single-threaded: every method is called from one thread.
 class Simulator {
 public:
     using Callback = InlineFn;
 
     /// Lifetime counters for the perf surface (core/simulation, benches).
-    /// Aggregated over every lane in sharded mode.
     struct Stats {
         std::uint64_t scheduled = 0;
         std::uint64_t dispatched = 0;
@@ -96,101 +60,44 @@ public:
         std::uint64_t callback_heap_allocs = 0;
     };
 
-    /// Sharded-mode counters (all zero on the single-queue engine).
-    struct ShardStats {
-        /// Conservative windows executed.
-        std::uint64_t windows = 0;
-        /// Lane-window slots that had no event to run (idle lanes summed
-        /// over windows) — the "how parallel is this workload" signal.
-        std::uint64_t window_stalls = 0;
-        /// Cross-shard messages routed through window outboxes.
-        std::uint64_t cross_messages = 0;
-        /// Cross-shard messages whose timestamp violated the lookahead
-        /// contract and had to be clamped to the window barrier. Always 0
-        /// when every cross-shard latency >= the configured lookahead.
-        std::uint64_t cross_clamped = 0;
-    };
+    /// Current simulated time: the timestamp of the dispatching event, or
+    /// the last run_until() bound.
+    [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-    Simulator() : lanes_(1), outboxes_(1) {}
-
-    /// Splits the engine into `shards` lanes with the given conservative
-    /// lookahead. Must be called before anything is scheduled; shards == 1
-    /// (with any lookahead) is exactly the legacy single-queue engine.
-    void configure_shards(int shards, Duration lookahead);
-
-    [[nodiscard]] int shards() const noexcept { return static_cast<int>(lanes_.size()); }
-    [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
-    /// Lane of the currently dispatching event (0 outside dispatch) —
-    /// schedule_at/schedule_after stay in this lane, so an entity's local
-    /// timers follow it automatically.
-    [[nodiscard]] int current_shard() const noexcept;
-
-    /// Runs in-window lane batches on the parallel pool instead of serially.
-    /// Callers must guarantee lanes only touch lane-local state (the full
-    /// deployment does not — it keeps serial dispatch; the engine tests and
-    /// lane-isolated workloads use this). Dispatch *results* are identical in
-    /// both modes by construction — that equivalence is itself a test.
-    void set_parallel_dispatch(bool on) noexcept { parallel_dispatch_ = on; }
-    [[nodiscard]] bool parallel_dispatch() const noexcept { return parallel_dispatch_; }
-
-    /// Invoked at every window barrier (after lanes drained, before the
-    /// cross-shard outboxes merge). The flow network hooks its batched
-    /// cross-shard rate exchange here.
-    void set_barrier_hook(std::function<void()> hook) { barrier_hook_ = std::move(hook); }
-
-    /// Current simulated time: the timestamp of the dispatching event, the
-    /// barrier time inside a barrier hook, or the last run_until() bound.
-    [[nodiscard]] SimTime now() const noexcept;
-
-    /// Schedules `cb` to run at absolute time `at` (clamped to now()) in the
-    /// current lane.
+    /// Schedules `cb` to run at absolute time `at` (clamped to now()).
     EventHandle schedule_at(SimTime at, Callback cb);
 
-    /// Schedules `cb` to run after `delay` in the current lane.
+    /// Schedules `cb` to run after `delay`.
     EventHandle schedule_after(Duration delay, Callback cb) {
-        return schedule_at(now() + delay, std::move(cb));
+        return schedule_at(now_ + delay, std::move(cb));
     }
-
-    /// Schedules into an explicit lane. From inside a window, scheduling into
-    /// a *different* lane routes through the sender lane's outbox (merged at
-    /// the barrier; returns an inert handle). Everywhere else — setup,
-    /// barrier hooks, same-lane — it is a direct push and returns a live
-    /// handle. On a single-queue engine shard must be 0.
-    EventHandle schedule_in_shard(int shard, SimTime at, Callback cb);
 
     /// Cancels a pending event. Returns true if it was still pending.
     /// Cancelling an already-run or already-cancelled event is a no-op.
     bool cancel(EventHandle h);
 
-    /// Runs events until every queue is empty.
+    /// Runs events until the queue is empty.
     void run();
 
     /// Runs events with timestamp <= `until`, then sets now() to `until`.
     void run_until(SimTime until);
 
     /// Runs at most one event. Returns false if the queue was empty.
-    /// Single-queue engine only (sharded mode advances window-by-window
-    /// through run/run_until).
     bool step();
 
     /// Number of events dispatched so far (for tests and stats).
-    [[nodiscard]] std::uint64_t events_dispatched() const noexcept;
+    [[nodiscard]] std::uint64_t events_dispatched() const noexcept { return stats_.dispatched; }
     /// Number of live (scheduled, not yet dispatched or cancelled) events.
-    [[nodiscard]] std::size_t pending() const noexcept;
+    [[nodiscard]] std::size_t pending() const noexcept { return live_; }
 
-    [[nodiscard]] Stats stats() const noexcept;
-    [[nodiscard]] const ShardStats& shard_stats() const noexcept { return shard_stats_; }
-    /// Events dispatched by one lane (sim.shard.<k>.dispatched gauges).
-    [[nodiscard]] std::uint64_t shard_dispatched(int shard) const noexcept {
-        return lanes_[static_cast<std::size_t>(shard)].stats.dispatched;
-    }
+    [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
 private:
-    /// What the priority queue sifts: a POD. `seq` is the lane-local schedule
-    /// order — it breaks same-timestamp ties FIFO and pins each entry to the
-    /// slab occupant it was created for. The slot is storage, not identity:
-    /// it must never participate in ordering (slots are recycled, so slot
-    /// order is allocation history, not schedule order).
+    /// What the priority queue sifts: a POD. `seq` is the schedule order —
+    /// it breaks same-timestamp ties FIFO and pins each entry to the slab
+    /// occupant it was created for. The slot is storage, not identity: it
+    /// must never participate in ordering (slots are recycled, so slot order
+    /// is allocation history, not schedule order).
     struct HeapEntry {
         SimTime at;
         std::uint64_t seq;
@@ -209,45 +116,17 @@ private:
         std::uint64_t seq = 0;
     };
 
-    /// One shard's queue: heap + slab + seq stream + per-lane counters.
-    /// In-window execution touches exactly one lane per thread, so lanes
-    /// need no synchronization beyond the window barrier.
-    struct Lane {
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue;
-        std::vector<Slot> slots;
-        std::vector<std::uint32_t> free_slots;
-        std::uint64_t next_seq = 1;
-        std::size_t live = 0;
-        Stats stats;
-    };
-
-    /// A cross-shard message parked in its sender's outbox until the window
-    /// barrier merges it into the destination lane.
-    struct CrossEntry {
-        SimTime at;
-        std::uint32_t dst;
-        Callback cb;
-    };
-
     /// Pops stale (cancelled) entries off the top, recycling their slots;
     /// returns true if a live event remains.
-    static bool purge_cancelled_top(Lane& lane);
-    EventHandle push_into(Lane& lane, std::uint32_t lane_index, SimTime at, Callback cb);
-    /// Dispatches lane events with timestamp < w_end (and <= until);
-    /// returns the number dispatched.
-    std::uint64_t drain_lane_window(int lane_index, SimTime w_end, SimTime until);
-    void run_windows(SimTime until);
-    void drain_outboxes(SimTime w_end);
+    bool purge_cancelled_top();
 
-    std::vector<Lane> lanes_;
-    std::vector<std::vector<CrossEntry>> outboxes_;  // indexed by source lane
-    std::vector<std::uint64_t> window_dispatched_;   // per-lane scratch for stall accounting
-    Duration lookahead_{1000};  // conservative window width (sharded mode)
-    SimTime now_{};             // serial-mode / control-thread clock
-    bool in_window_ = false;
-    bool parallel_dispatch_ = false;
-    std::function<void()> barrier_hook_;
-    ShardStats shard_stats_;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    std::uint64_t next_seq_ = 1;
+    std::size_t live_ = 0;
+    Stats stats_;
+    SimTime now_{};
 };
 
 }  // namespace netsession::sim

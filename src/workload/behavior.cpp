@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace netsession::workload {
 
@@ -18,11 +17,7 @@ UserDriver::UserDriver(net::World& world, control::ControlPlane& plane, edge::Ed
       registry_(&registry),
       behavior_(behavior),
       base_config_(base),
-      rng_(rng) {
-    // Escape hatch for the differential determinism suite: a build that never
-    // demotes clients to the ColdStore must produce byte-identical traces.
-    if (std::getenv("NS_NO_HIBERNATE") != nullptr) base_config_.hibernate_offline = false;
-}
+      rng_(rng) {}
 
 int UserDriver::region_column(CountryId country) {
     const net::CountryInfo& c = net::country(country);
@@ -130,15 +125,13 @@ void UserDriver::create_users(int n) {
             // them between logins.
             const auto t1 = behavior_.warmup +
                             sim::seconds(u.rng.uniform(0.1, 0.9) * behavior_.window.seconds());
-            // schedule_for_at pins the toggle to the client's own shard so it
-            // serialises with the client's session events (no-op at shards=1).
-            world_->schedule_for_at(host, sim::SimTime{} + t1, [cl, initially_enabled] {
+            world_->simulator().schedule_at(sim::SimTime{} + t1, [cl, initially_enabled] {
                 cl->set_uploads_enabled(!initially_enabled);
             });
             if (u.rng.chance(behavior_.second_toggle_fraction)) {
                 const auto t2 = t1 + sim::seconds(u.rng.uniform(0.05, 0.1) *
                                                   behavior_.window.seconds());
-                world_->schedule_for_at(host, sim::SimTime{} + t2, [cl, initially_enabled] {
+                world_->simulator().schedule_at(sim::SimTime{} + t2, [cl, initially_enabled] {
                     cl->set_uploads_enabled(initially_enabled);
                 });
             }
@@ -180,9 +173,7 @@ void UserDriver::schedule_session(std::size_t idx) {
     User& u = users_[idx];
     const sim::SimTime at = next_session_time(u);
     if (at.us >= (behavior_.warmup + behavior_.window).us) return;  // beyond the window
-    // Session events run in the user's own shard; every schedule_after made
-    // from inside a session event then inherits that lane automatically.
-    world_->schedule_for_at(u.client->host(), at, [this, idx] { start_session(idx); });
+    world_->simulator().schedule_at(at, [this, idx] { start_session(idx); });
 }
 
 void UserDriver::start_session(std::size_t idx) {
@@ -429,9 +420,7 @@ int UserDriver::flash_crowd(double fraction, Rng& rng) {
         if (cl->download_active(object)) return;
         ++launched;
         const double at_s = rng.uniform(0.0, 60.0);
-        // Mass events fan out from the fault engine's lane; the per-client
-        // launch must run in the client's shard.
-        world_->schedule_for(cl->host(), sim::seconds(at_s), [this, cl, object] {
+        world_->simulator().schedule_after(sim::seconds(at_s), [this, cl, object] {
             if (!cl->running() || cl->download_active(object)) return;
             ++downloads_requested_;
             cl->begin_download(object,

@@ -1,10 +1,14 @@
 // Scenario file parsing and round trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/scenario_io.hpp"
+#include "net/world_data.hpp"
 
 namespace netsession {
 namespace {
@@ -67,38 +71,67 @@ TEST(ScenarioIo, DescribeRoundTrips) {
     EXPECT_EQ(result.value().control.cross_region_threshold, 0);
 }
 
-TEST(ScenarioIo, ShardsKnobParsesPrintsAndDefaults) {
-    // Parse.
-    const auto four = parse_scenario("shards = 4\n");
-    ASSERT_TRUE(four.ok()) << four.error().message;
-    EXPECT_EQ(four.value().shards, 4);
-
-    // Defaulting: an unset config keeps the in-memory sentinel 0 ("ask
-    // NS_SIM_SHARDS, else 1")...
-    const auto unset = parse_scenario("");
-    ASSERT_TRUE(unset.ok());
-    EXPECT_EQ(unset.value().shards, 0);
-    // ...but a *written* scenario pins its engine: unset prints as 1.
-    EXPECT_NE(describe_scenario(SimulationConfig{}).find("shards = 1"), std::string::npos);
-
-    // Round trip of an explicit count.
+TEST(ScenarioIo, LargeIntegersRoundTripExactly) {
     SimulationConfig config;
-    config.shards = 8;
-    const auto round = parse_scenario(describe_scenario(config));
-    ASSERT_TRUE(round.ok()) << round.error().message;
-    EXPECT_EQ(round.value().shards, 8);
+    config.seed = (std::uint64_t{1} << 63) + 1;
+    config.peers = 1234567;
+    const std::string described = describe_scenario(config);
+    EXPECT_NE(described.find("seed = 9223372036854775809"), std::string::npos);
+    EXPECT_NE(described.find("peers = 1234567"), std::string::npos);
+    const auto result = parse_scenario(described);
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    EXPECT_EQ(result.value().seed, config.seed);
+    EXPECT_EQ(result.value().peers, 1234567);
 }
 
-TEST(ScenarioIo, ShardsKnobRejectsInvalidCounts) {
-    // 0 is only an in-memory sentinel, never a valid scenario value.
-    EXPECT_FALSE(parse_scenario("shards = 0\n").ok());
-    EXPECT_FALSE(parse_scenario("shards = -2\n").ok());
-    EXPECT_FALSE(parse_scenario("shards = 65\n").ok()) << "engine caps lanes at 64";
-    EXPECT_FALSE(parse_scenario("shards = 2.5\n").ok()) << "whole lanes only";
-    EXPECT_FALSE(parse_scenario("shards = four\n").ok());
-    const auto zero = parse_scenario("shards = 0\n");
-    ASSERT_FALSE(zero.ok());
-    EXPECT_NE(zero.error().message.find("bad value"), std::string::npos);
+TEST(ScenarioIo, IntegerKnobsLoadExactlyOrFail) {
+    // Integer knobs take whole decimal values inside their range; anything
+    // else is a parse error, never a rounded, wrapped or crashing value.
+    const std::string countries = std::to_string(net::countries().size());
+    const std::string too_few_ases = std::to_string(net::countries().size() - 1);
+    struct Case {
+        std::string line;
+        bool loads;
+    };
+    const std::vector<Case> cases = {
+        {"seed = 1234567", true},
+        {"peers = 1234567", true},
+        {"seed = 9007199254740993", true},
+        {"seed = 18446744073709551615", true},
+        {"seed = 18446744073709551616", false},
+        {"seed = -1", false},
+        {"peers = 1e12", false},
+        {"peers = 2147483648", false},
+        {"peers = 2.5", false},
+        {"peers = -5", false},
+        {"max_pieces = 1", true},
+        {"max_pieces = 0", false},
+        {"max_pieces = -1", false},
+        {"total_ases = " + countries, true},
+        {"total_ases = " + too_few_ases, false},
+        {"total_ases = 4097", false},
+        {"threads = 1024", true},
+        {"threads = 1025", false},
+        {"threads = -1", false},
+        {"max_peer_sources = 12abc", false},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.line);
+        const auto result = parse_scenario(c.line + "\n");
+        ASSERT_EQ(result.ok(), c.loads) << (result.ok() ? "" : result.error().message);
+        if (c.loads) {
+            // The loaded value prints back as the exact input.
+            EXPECT_NE(describe_scenario(result.value()).find(c.line + "  #"), std::string::npos);
+        } else {
+            EXPECT_NE(result.error().message.find("bad value"), std::string::npos);
+        }
+    }
+}
+
+TEST(ScenarioIo, ShardsKeyIsUnknown) {
+    const auto result = parse_scenario("shards = 4\n");
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().message.find("unknown key 'shards'"), std::string::npos);
 }
 
 TEST(ScenarioIo, TemplateIsLoadable) {

@@ -197,76 +197,5 @@ TEST(World, SendDeliversAfterLatency) {
     EXPECT_EQ(delivered.us, w.latency(a, b).us);
 }
 
-TEST(World, HostShardIsRegionModuloShards) {
-    sim::Simulator sim;
-    sim.configure_shards(4, kLatencyFloor);
-    World w = make_world(sim);
-    w.configure_shards(4);
-    Rng rng(1);
-    for (const char* alpha2 : {"DE", "US", "IN", "CN", "BR", "AU"}) {
-        const HostId h = w.create_host(host_in(w, alpha2, rng));
-        const int want = static_cast<int>(w.region_of(h).value) % 4;
-        EXPECT_EQ(w.host_shard(h), want) << alpha2;
-        EXPECT_EQ(w.flows().host_shard(h), static_cast<std::uint32_t>(want)) << alpha2;
-    }
-}
-
-TEST(World, ReattachDoesNotRehomeTheHost) {
-    // A host's lane is part of its identity: mobility must not tear pending
-    // lane-local timers away from their shard.
-    sim::Simulator sim;
-    sim.configure_shards(8, kLatencyFloor);
-    World w = make_world(sim);
-    w.configure_shards(8);
-    Rng rng(7);
-    const HostId h = w.create_host(host_in(w, "DE", rng));
-    const int original = w.host_shard(h);
-    const CountryInfo* au = find_country("AU");
-    w.reattach(h, Location{au->id, 0, au->center},
-               w.as_graph().pick_for_country(au->id, rng), NatType::open);
-    EXPECT_EQ(w.host_shard(h), original);
-}
-
-TEST(World, ShardLossStreamDerivationIsStable) {
-    // The per-lane loss streams are pure functions of (constant seed, lane
-    // index): re-deriving them gives the same draws, different lanes give
-    // different draws, and the derivation is independent of construction
-    // order. This is what makes sharded fault runs replayable.
-    const auto derive = [](int lane) {
-        Rng base{0xFA017FA017FA017ULL};
-        return base.child("loss-shard-" + std::to_string(lane));
-    };
-    for (int lane = 0; lane < 8; ++lane) {
-        Rng a = derive(lane);
-        Rng b = derive(lane);
-        for (int i = 0; i < 64; ++i) ASSERT_EQ(a.next(), b.next()) << "lane " << lane;
-    }
-    Rng lane0 = derive(0);
-    Rng lane1 = derive(1);
-    bool diverged = false;
-    for (int i = 0; i < 16 && !diverged; ++i) diverged = lane0.next() != lane1.next();
-    EXPECT_TRUE(diverged) << "lanes must not share a stream";
-}
-
-TEST(World, LatencyNeverUndercutsTheLookaheadFloor) {
-    // The sharded window width is derived from kLatencyFloor; if any host
-    // pair could beat it, cross-shard messages would need clamping and the
-    // engine's cross_clamped gauge would light up. Pin the floor, including
-    // for co-located hosts in one AS.
-    sim::Simulator sim;
-    World w = make_world(sim);
-    Rng rng(5);
-    std::vector<HostId> hosts;
-    for (const char* alpha2 : {"DE", "DE", "US", "JP", "BR", "ZA", "AU", "IN"})
-        hosts.push_back(w.create_host(host_in(w, alpha2, rng)));
-    // Two hosts at the exact same point in the same AS: the floor case.
-    HostInfo clone = w.host(hosts[0]);
-    clone.attach.ip = IpAddr{};
-    hosts.push_back(w.create_host(clone));
-    for (const HostId a : hosts)
-        for (const HostId b : hosts)
-            EXPECT_GE(w.latency(a, b).us, kLatencyFloor.us);
-}
-
 }  // namespace
 }  // namespace netsession::net

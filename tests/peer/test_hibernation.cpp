@@ -104,7 +104,7 @@ TEST(Hibernation, ClientsAreBornHibernatedAndStartRehydrates) {
 TEST(Hibernation, DisabledByConfigIsANoOp) {
     Harness h;
     ClientConfig config;
-    config.hibernate_offline = false;  // what NS_NO_HIBERNATE=1 sets globally
+    config.hibernate_offline = false;
     NetSessionClient& c = h.add_client(config);
     EXPECT_FALSE(c.hibernated()) << "with the knob off a client is always resident";
     c.start();

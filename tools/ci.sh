@@ -67,6 +67,11 @@ run_flavour() {
         # byte-identical results whatever NS_THREADS says (docs/PARALLELISM.md).
         echo "==== [$name] thread-invariance focus ===="
         (cd "$build_dir" && ctest --output-on-failure -R 'ThreadInvariance|Parallel')
+        # Benchmark smoke: perfbench/ compiles ../src into its own build, so
+        # an API change in src/ can break the benchmark while every ctest
+        # above still passes. Runs each workload tiny and checks its output.
+        echo "==== [$name] perfbench smoke ===="
+        python3 perfbench/smoke_test.py
     fi
 }
 
@@ -108,38 +113,6 @@ run_audit_flavour() {
         echo "  seed=$seed: traces byte-identical"
     done
     rm -rf "$fuzz_dir"
-}
-
-# The shard flavour proves the region-sharded simulation core
-# (docs/PARALLELISM.md "The sharded simulation core") on two fronts:
-#   1. under TSan, with NS_SIM_SHARDS=4 exported so every Simulation whose
-#      scenario leaves `shards` unset runs on the windowed engine — the
-#      barrier-batched flow refill round is the one place the sharded
-#      deployment fans out onto the pool, exactly what TSan is for;
-#   2. in Release, a double-run byte-identity smoke of the shipped chaos
-#      campaign at shards=4 — faults, campaigns and the cross-shard outbox
-#      path, compared with cmp like the audit flavour's fuzz smoke.
-# The labelled suites (`ctest -L shard`) are the differential determinism
-# tests and the sharded-scheduler property tests from tests/.
-run_shard_flavour() {
-    local tsan_dir=build-ci-tsan release_dir=build-ci-release
-    echo "==== [shard] tsan labelled shard suites (NS_SIM_SHARDS=4) ===="
-    (cd "$tsan_dir" && NS_SIM_SHARDS=4 ctest --output-on-failure -L shard)
-    echo "==== [shard] tsan sim focus on the windowed engine (NS_SIM_SHARDS=4) ===="
-    (cd "$tsan_dir" && NS_SIM_SHARDS=4 ctest --output-on-failure \
-        -R 'Simulation|Sharded|Robustness|Chaos')
-    echo "==== [shard] release double-run byte-identity (chaos_campaign.ini, shards=4) ===="
-    local smoke_dir="$release_dir/shard_smoke"
-    mkdir -p "$smoke_dir"
-    { cat scenarios/chaos_campaign.ini; echo "shards = 4"; } > "$smoke_dir/campaign_s4.ini"
-    "$release_dir/tools/netsession_sim" run "$smoke_dir/campaign_s4.ini" \
-        "$smoke_dir/a.nstrace" >/dev/null
-    "$release_dir/tools/netsession_sim" run "$smoke_dir/campaign_s4.ini" \
-        "$smoke_dir/b.nstrace" >/dev/null
-    cmp "$smoke_dir/a.nstrace" "$smoke_dir/b.nstrace" \
-        || { echo "ERROR: shards=4 chaos campaign is not deterministic" >&2; exit 1; }
-    echo "  shards=4: traces byte-identical"
-    rm -rf "$smoke_dir"
 }
 
 # The scale flavour proves the hibernation memory diet (docs/SIMULATOR.md
@@ -210,7 +183,6 @@ run_flavour asan build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=a
 run_flavour ubsan build-ci-ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=undefined
 run_audit_flavour
 run_tsan_flavour
-run_shard_flavour  # reuses the tsan + release trees built above
 run_scale_flavour  # reuses the release + asan trees built above
 
 echo "==== CI: all flavours passed ===="
