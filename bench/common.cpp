@@ -232,10 +232,10 @@ std::string recovery_section_json() {
 
 // Machine-readable record of a fresh standard-scenario run: wall-clock plus
 // the engine's hot-path counters and the full per-subsystem metric registry
-// (obs::to_json — control/edge/client/flow/sim breakdowns). Written next to
-// the dataset cache so perf regressions show up as a diffable number, not a
-// feeling. Only fresh runs emit it — a cache load measures deserialization,
-// not the simulator.
+// (obs::to_json — control/edge/client/driver/fault breakdowns). Written
+// next to the dataset cache so perf regressions show up as a diffable
+// number, not a feeling. Only fresh runs emit it — a cache load measures
+// deserialization, not the simulator.
 void write_headline_json(const BenchArgs& args, double wall_seconds, const Simulation& sim,
                          const trace::Dataset& dataset, const char* cache_path) {
     const Simulation::PerfStats perf = sim.perf_stats();

@@ -14,8 +14,7 @@
 //     ~the pre-fault baseline
 //   * RE-ADD reconvergence (dn_outage) — a DN restart triggers RE-ADD
 //     fan-out from the CNs; drained when the sampled `control.readds` rate
-//     falls back to ~the pre-fault baseline (needs the metrics section, i.e.
-//     an NS_METRICS build with the sampler on)
+//     (the trace's metrics section) falls back to ~the pre-fault baseline
 //   * degradation pressure — client-observed degradations and blacklist
 //     churn (source_blacklisted events) while the fault was active
 //

@@ -9,7 +9,6 @@
 #include "control/database_node.hpp"
 #include "edge/catalog.hpp"
 #include "net/world.hpp"
-#include "obs/metrics.hpp"
 #include "peer/netsession_client.hpp"
 #include "peer/registry.hpp"
 #include "workload/behavior.hpp"
@@ -269,23 +268,6 @@ int Auditor::check_arena_accounting() {
         violation(&AuditCounters::arena_accounting, buf);
     }
     return pass_violations_ - before;
-}
-
-void Auditor::register_metrics(obs::Registry& registry) {
-    registry.add_computed("audit.runs",
-                          [this] { return static_cast<double>(counters_.audits_run); });
-    registry.add_computed("audit.violations",
-                          [this] { return static_cast<double>(counters_.total()); });
-    registry.add_computed("audit.flow_capacity",
-                          [this] { return static_cast<double>(counters_.flow_capacity); });
-    registry.add_computed("audit.byte_conservation",
-                          [this] { return static_cast<double>(counters_.byte_conservation); });
-    registry.add_computed("audit.directory",
-                          [this] { return static_cast<double>(counters_.directory); });
-    registry.add_computed("audit.stall_bound",
-                          [this] { return static_cast<double>(counters_.stall_bound); });
-    registry.add_computed("audit.arena_accounting",
-                          [this] { return static_cast<double>(counters_.arena_accounting); });
 }
 
 }  // namespace netsession::audit

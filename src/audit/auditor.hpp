@@ -27,16 +27,14 @@
 //
 // The auditor follows the obs::Sampler passivity contract: it only *reads*
 // simulation state — no RNG stream is touched, no relative event ordering
-// changes, no trace record is written — so enabling it cannot perturb any
-// simulation record (the determinism contract of docs/SIMULATOR.md §3 holds
-// with auditing on or off). The one sanctioned trace-visible difference is
-// the same one the sampler itself has: its periodic tick events count into
-// the sim.events_* bookkeeping gauges, and audit builds sample the audit.*
-// gauges. Builds with NS_AUDIT=OFF compile the periodic checks out entirely;
-// the class itself stays available in both flavours so tests can call
-// audit_now() directly. Under NS_AUDIT_FATAL (tests/CI) the first violation
-// prints every collected report and aborts; otherwise violations count into
-// the audit.* metrics and the run continues (benches, chaos campaigns).
+// changes, no trace record is written — so enabling it cannot change a
+// single trace byte (the determinism contract of docs/SIMULATOR.md §3 holds
+// with auditing on or off). Builds with NS_AUDIT=OFF compile the periodic
+// checks out entirely; the class itself stays available in both flavours so
+// tests can call audit_now() directly. Under NS_AUDIT_FATAL (tests/CI) the
+// first violation prints every collected report and aborts; otherwise
+// violations count into counters() and the run continues (benches, chaos
+// campaigns).
 #pragma once
 
 #ifndef NS_AUDIT_ENABLED
@@ -66,9 +64,6 @@ class PeerRegistry;
 namespace netsession::workload {
 class UserDriver;
 }
-namespace netsession::obs {
-class Registry;
-}
 
 namespace netsession::audit {
 
@@ -86,7 +81,7 @@ struct AuditConfig {
     int max_reports = 8;
 };
 
-/// Per-invariant violation counters, exported as audit.* computed gauges.
+/// Per-invariant violation counters.
 struct AuditCounters {
     std::int64_t audits_run = 0;
     std::int64_t flow_capacity = 0;
@@ -124,11 +119,6 @@ public:
     [[nodiscard]] const AuditCounters& counters() const noexcept { return counters_; }
     /// First `max_reports` violation descriptions, oldest first.
     [[nodiscard]] const std::vector<std::string>& reports() const noexcept { return reports_; }
-
-    /// Registers the audit.* computed gauges. Callers gate this on the build
-    /// flavour: in default builds nothing registers, keeping metric ids
-    /// byte-identical to audit-free binaries.
-    void register_metrics(obs::Registry& registry);
 
 private:
     void tick();

@@ -73,7 +73,7 @@ namespace netsession::arena {
     std::abort();
 }
 
-/// Storage accounting for the mem.* gauges (see Pool::stats()).
+/// Storage accounting (see Pool::stats()).
 struct PoolStats {
     std::size_t live = 0;            ///< objects currently held out
     std::size_t parked = 0;          ///< constructed objects on the free list
@@ -206,7 +206,7 @@ public:
         return Handle{slot, gen_[slot]};
     }
 
-    // --- stats (mem.* gauges) ----------------------------------------------
+    // --- stats -------------------------------------------------------------
     using Stats = PoolStats;
     [[nodiscard]] Stats stats() const noexcept {
         Stats s;

@@ -123,7 +123,7 @@ public:
         return buckets_.empty() ? 0.0
                                 : static_cast<double>(live_) / static_cast<double>(buckets_.size());
     }
-    /// Heap footprint of the table's own storage (for the mem.* gauges).
+    /// Heap footprint of the table's own storage.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         return buckets_.capacity() * sizeof(std::uint32_t) + entries_.capacity() * sizeof(Entry) +
                dead_.capacity();

@@ -17,7 +17,6 @@ struct Stats {
     std::atomic<std::uint64_t> chunks{0};
     std::atomic<std::uint64_t> chunks_stolen{0};
     std::atomic<std::uint64_t> merges{0};
-    std::atomic<std::uint64_t> merge_order_checks{0};
 };
 Stats g_stats;
 
@@ -171,7 +170,6 @@ StatsSnapshot stats() noexcept {
     s.chunks = g_stats.chunks.load(std::memory_order_relaxed);
     s.chunks_stolen = g_stats.chunks_stolen.load(std::memory_order_relaxed);
     s.merges = g_stats.merges.load(std::memory_order_relaxed);
-    s.merge_order_checks = g_stats.merge_order_checks.load(std::memory_order_relaxed);
     s.threads = thread_count();
     return s;
 }
@@ -182,7 +180,6 @@ void reset_stats() noexcept {
     g_stats.chunks.store(0, std::memory_order_relaxed);
     g_stats.chunks_stolen.store(0, std::memory_order_relaxed);
     g_stats.merges.store(0, std::memory_order_relaxed);
-    g_stats.merge_order_checks.store(0, std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -201,9 +198,8 @@ void run_tasks(std::size_t count, void (*fn)(void*, std::size_t), void* ctx) {
     Pool::instance().run(count, fn, ctx, threads);
 }
 
-void note_merges(std::uint64_t merges, std::uint64_t checks) noexcept {
+void note_merges(std::uint64_t merges) noexcept {
     g_stats.merges.fetch_add(merges, std::memory_order_relaxed);
-    g_stats.merge_order_checks.fetch_add(checks, std::memory_order_relaxed);
 }
 
 }  // namespace detail

@@ -51,22 +51,19 @@ namespace netsession::parallel {
 /// running parallel primitive (configure, then compute).
 void set_thread_count(int n);
 
-/// Cumulative counters for the observability layer ("did the pool actually
-/// run, and how was work distributed"). `chunks_stolen` counts chunks
-/// executed by pool workers rather than the calling thread — the analogue of
-/// a work-stealing scheduler's steal count under our chunk-racing scheme.
-/// `merge_order_checks` counts ordered-merge verifications performed by
-/// parallel_reduce (every merge asserts it runs in ascending chunk order).
-/// Deliberately NOT registered with a Simulation's metric registry: these
-/// are process-wide and analysis-driven, so sampling them into a trace would
-/// make trace bytes depend on unrelated prior work in the process.
+/// Cumulative counters ("did the pool actually run, and how was work
+/// distributed"); perfbench reports them as its parallel.* metrics.
+/// `chunks_stolen` counts chunks executed by pool workers rather than the
+/// calling thread — the analogue of a work-stealing scheduler's steal count
+/// under our chunk-racing scheme. Never sampled into a trace: these are
+/// process-wide and analysis-driven, so trace bytes would depend on
+/// unrelated prior work in the process.
 struct StatsSnapshot {
     std::uint64_t jobs = 0;            // parallel invocations that used the pool
     std::uint64_t inline_jobs = 0;     // invocations that ran fully inline
     std::uint64_t chunks = 0;          // chunks executed, total
     std::uint64_t chunks_stolen = 0;   // chunks executed by pool workers
     std::uint64_t merges = 0;          // ordered merges performed
-    std::uint64_t merge_order_checks = 0;
     int threads = 1;                   // current configured thread count
 };
 [[nodiscard]] StatsSnapshot stats() noexcept;
@@ -99,27 +96,9 @@ inline constexpr std::size_t kMaxChunks = 512;
 /// independent; completion of the call happens-after every task body.
 void run_tasks(std::size_t count, void (*fn)(void*, std::size_t), void* ctx);
 
-void note_merges(std::uint64_t merges, std::uint64_t checks) noexcept;
+void note_merges(std::uint64_t merges) noexcept;
 
 }  // namespace detail
-
-/// Runs fn(begin, end) over disjoint subranges covering [0, n). fn must not
-/// write shared state (use parallel_reduce for that).
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn) {
-    if (n == 0) return;
-    struct Ctx {
-        Fn* fn;
-        std::size_t n;
-    } ctx{&fn, n};
-    detail::run_tasks(detail::num_chunks(n),
-                      [](void* p, std::size_t chunk) {
-                          auto* c = static_cast<Ctx*>(p);
-                          const auto [lo, hi] = detail::chunk_range(c->n, chunk);
-                          (*c->fn)(lo, hi);
-                      },
-                      &ctx);
-}
 
 /// Sharded reduction over [0, n): every chunk gets a default-constructed
 /// Partial, chunk(partial, begin, end) fills it, and merge(acc, partial) is
@@ -151,7 +130,7 @@ template <typename Partial, typename ChunkFn, typename MergeFn>
                       &ctx);
     Partial acc = std::move(parts[0]);
     for (std::size_t i = 1; i < chunks; ++i) merge(acc, std::move(parts[i]));
-    detail::note_merges(chunks - 1, chunks);
+    detail::note_merges(chunks - 1);
     return acc;
 }
 

@@ -19,7 +19,7 @@ bool ConnectionNode::admit_login() {
     tokens_refilled_at_ = now;
     if (login_tokens_ < 1.0) {
         ++logins_deferred_;
-        NS_OBS_INC(plane_->metrics().logins_deferred);
+        plane_->metrics().logins_deferred.inc();
         return false;
     }
     login_tokens_ -= 1.0;
@@ -29,11 +29,11 @@ bool ConnectionNode::admit_login() {
 bool ConnectionNode::login(PeerEndpoint& endpoint, const LoginInfo& info) {
     if (!up_) {
         // Connection refused; the peer's retry logic handles it.
-        NS_OBS_INC(plane_->metrics().logins_refused);
+        plane_->metrics().logins_refused.inc();
         return false;
     }
     if (!admit_login()) return false;  // smooth recovery after mass failures (§3.8)
-    NS_OBS_INC(plane_->metrics().logins);
+    plane_->metrics().logins.inc();
     sessions_[info.desc.guid] = Session{&endpoint, info.desc, info.uploads_enabled};
     plane_->note_session(info.desc.guid, &endpoint);
 
@@ -91,7 +91,7 @@ void ConnectionNode::query(Guid requester, ObjectId object, const edge::AuthToke
                            std::function<void(std::vector<PeerDescriptor>)> reply) {
     auto& world = plane_->world();
     auto& sim = world.simulator();
-    NS_OBS_INC(plane_->metrics().queries);
+    plane_->metrics().queries.inc();
 
     const auto it = sessions_.find(requester);
     if (!up_ || it == sessions_.end()) {
@@ -139,7 +139,7 @@ void ConnectionNode::query(Guid requester, ObjectId object, const edge::AuthToke
             }
         }
         std::vector<PeerDescriptor> peers(select_scratch_.begin(), select_scratch_.end());
-        NS_OBS_OBSERVE(plane_->metrics().peers_returned, peers.size());
+        plane_->metrics().peers_returned.record(static_cast<double>(peers.size()));
         // Instruct the chosen peers to expect (and initiate) a connection
         // with the requester — this is what makes traversal work (§3.7).
         for (const auto& peer : peers) {
@@ -159,9 +159,9 @@ void ConnectionNode::register_copy(Guid guid, ObjectId object, bool readd) {
     const auto it = sessions_.find(guid);
     if (it == sessions_.end() || !it->second.uploads_enabled) return;
     if (readd)
-        NS_OBS_INC(plane_->metrics().readds);
+        plane_->metrics().readds.inc();
     else
-        NS_OBS_INC(plane_->metrics().copies_registered);
+        plane_->metrics().copies_registered.inc();
     if (DatabaseNode* dn = plane_->local_dn(region_))
         dn->register_copy(object, it->second.desc, plane_->world().simulator().now(), readd);
 }
@@ -173,7 +173,7 @@ void ConnectionNode::unregister_copy(Guid guid, ObjectId object) {
 
 void ConnectionNode::report_download(const trace::DownloadRecord& record) {
     if (!up_) return;
-    NS_OBS_INC(plane_->metrics().download_reports);
+    plane_->metrics().download_reports.inc();
     plane_->accounting().submit(record);
     plane_->monitoring().report_download_outcome(record.outcome ==
                                                  trace::DownloadOutcome::completed);
@@ -181,7 +181,7 @@ void ConnectionNode::report_download(const trace::DownloadRecord& record) {
 
 void ConnectionNode::report_transfer(const trace::TransferRecord& record) {
     if (!up_) return;
-    NS_OBS_INC(plane_->metrics().transfer_reports);
+    plane_->metrics().transfer_reports.inc();
     plane_->trace_log().add(record);
 }
 

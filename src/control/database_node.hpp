@@ -47,11 +47,6 @@ public:
         directory_.select_into(object, requester, want, policy, rng, out);
     }
 
-    /// Directory storage accounting for the mem.* gauges.
-    [[nodiscard]] Directory::MemoryStats memory_stats() const noexcept {
-        return directory_.memory_stats();
-    }
-
     [[nodiscard]] int copies(ObjectId object) const { return directory_.copies(object); }
     [[nodiscard]] std::size_t registration_count() const noexcept {
         return directory_.registration_count();

@@ -102,22 +102,6 @@ public:
     /// Visits every live (guid, object) registration.
     void for_each_registration(const std::function<void(Guid, ObjectId)>& fn) const;
 
-    /// Storage accounting for the mem.* gauges.
-    struct MemoryStats {
-        std::size_t pool_bytes_reserved = 0;  ///< swarm arena chunk storage
-        std::size_t pool_slots = 0;           ///< swarm slots (live + parked)
-        std::size_t pool_live = 0;            ///< swarms currently indexed
-        double table_load_factor = 0.0;       ///< swarms_ index occupancy
-    };
-    [[nodiscard]] MemoryStats memory_stats() const noexcept {
-        MemoryStats m;
-        m.pool_bytes_reserved = swarm_pool_.bytes_reserved();
-        m.pool_slots = swarm_pool_.slot_count();
-        m.pool_live = swarm_pool_.live();
-        m.table_load_factor = swarms_.load_factor();
-        return m;
-    }
-
 private:
     struct Entry {
         PeerDescriptor peer;

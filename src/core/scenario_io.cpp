@@ -167,11 +167,6 @@ const std::map<std::string, Knob>& knobs() {
              [](const SimulationConfig& c) { return c.client.cache_retention.seconds() / 86400; },
              [](SimulationConfig& c, double v) { c.client.cache_retention = sim::days(v); },
              "how long completed downloads stay shareable")},
-        {"threads",
-         // NS_THREADS caps the analysis pool at the same bound.
-         int_knob([](const SimulationConfig& c) { return c.threads; },
-                  [](SimulationConfig& c, int v) { c.threads = v; }, 0, 1024,
-                  "analysis thread count (0 = NS_THREADS/hardware default)")},
         {"disable_p2p", bool_knob([](const SimulationConfig& c) { return c.disable_p2p; },
                                   [](SimulationConfig& c, bool v) { c.disable_p2p = v; },
                                   "true = infrastructure-only baseline")},

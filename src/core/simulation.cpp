@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/parallel.hpp"
 #include "analysis/recovery.hpp"
 #include "net/world_data.hpp"
 
@@ -30,10 +29,6 @@ static_assert(static_cast<int>(analysis::TracedFaultKind::edge_outage) ==
 
 Simulation::Simulation(SimulationConfig config)
     : config_(std::move(config)), accounting_(trace_) {
-    // Sizes the analysis runtime for post-run measurement passes; the
-    // simulation itself stays single-threaded regardless.
-    if (config_.threads > 0) parallel::set_thread_count(config_.threads);
-
     Rng root(config_.seed);
 
     world_ = std::make_unique<net::World>(
@@ -78,42 +73,12 @@ Simulation::Simulation(SimulationConfig config)
 
 void Simulation::register_metrics() {
     // Stable registration order = stable v6 metric ids: control plane, edge
-    // tier, client population, then the engine-level computed gauges.
+    // tier, client population, then the fault timeline. Domain metrics only:
+    // engine, flow-solver and memory counters come from perf_stats() and the
+    // pool accessors, never from the trace.
     plane_->register_metrics(metrics_registry_);
     edges_->register_metrics(metrics_registry_);
     driver_->register_metrics(metrics_registry_);
-
-    metrics_registry_.add_computed("flow.active", [this] {
-        const auto s = world_->flows().stats();
-        return static_cast<double>(s.flows_started - s.flows_completed - s.flows_cancelled);
-    });
-    metrics_registry_.add_computed("flow.started", [this] {
-        return static_cast<double>(world_->flows().stats().flows_started);
-    });
-    metrics_registry_.add_computed("flow.completed", [this] {
-        return static_cast<double>(world_->flows().stats().flows_completed);
-    });
-    metrics_registry_.add_computed("flow.cancelled", [this] {
-        return static_cast<double>(world_->flows().stats().flows_cancelled);
-    });
-    metrics_registry_.add_computed("flow.refills", [this] {
-        return static_cast<double>(world_->flows().stats().refills);
-    });
-    metrics_registry_.add_computed("flow.resort_hits", [this] {
-        return static_cast<double>(world_->flows().stats().resort_hits);
-    });
-    metrics_registry_.add_computed("flow.resort_misses", [this] {
-        return static_cast<double>(world_->flows().stats().resort_misses);
-    });
-    metrics_registry_.add_computed("sim.events_scheduled",
-                           [this] { return static_cast<double>(sim_.stats().scheduled); });
-    metrics_registry_.add_computed("sim.events_dispatched",
-                           [this] { return static_cast<double>(sim_.stats().dispatched); });
-    metrics_registry_.add_computed("sim.events_cancelled",
-                           [this] { return static_cast<double>(sim_.stats().cancelled); });
-    metrics_registry_.add_computed("sim.callback_heap_allocs", [this] {
-        return static_cast<double>(sim_.stats().callback_heap_allocs);
-    });
 
     metrics_registry_.add_computed("fault.applied", [this] {
         return static_cast<double>(fault_engine_->faults_applied());
@@ -125,58 +90,6 @@ void Simulation::register_metrics() {
         return static_cast<double>(fault_engine_->faults_applied() -
                                    fault_engine_->faults_restored());
     });
-
-    // mem.* — storage accounting for the arena pools and flat-hash tables.
-    // All values are pure functions of the simulation history (slot counts,
-    // chunk counts, load factors), so they are safe to sample into the trace;
-    // process RSS is *not* and lives in obs/process_memory.hpp instead.
-    metrics_registry_.add_computed("mem.swarm_pool_bytes_reserved", [this] {
-        std::size_t total = 0;
-        for (const auto& dn : plane_->dns()) total += dn->memory_stats().pool_bytes_reserved;
-        return static_cast<double>(total);
-    });
-    metrics_registry_.add_computed("mem.swarm_pool_live", [this] {
-        std::size_t total = 0;
-        for (const auto& dn : plane_->dns()) total += dn->memory_stats().pool_live;
-        return static_cast<double>(total);
-    });
-    metrics_registry_.add_computed("mem.directory_table_load", [this] {
-        double worst = 0.0;
-        for (const auto& dn : plane_->dns())
-            worst = std::max(worst, dn->memory_stats().table_load_factor);
-        return worst;
-    });
-    metrics_registry_.add_computed("mem.download_pool_bytes_reserved", [this] {
-        return static_cast<double>(registry_.downloads().bytes_reserved());
-    });
-    metrics_registry_.add_computed("mem.download_pool_live", [this] {
-        return static_cast<double>(registry_.downloads().live());
-    });
-    metrics_registry_.add_computed("mem.flow_pool_bytes_reserved", [this] {
-        return static_cast<double>(world_->flows().pool_stats().bytes_reserved);
-    });
-    metrics_registry_.add_computed("mem.flow_pool_live", [this] {
-        return static_cast<double>(world_->flows().pool_stats().live);
-    });
-    metrics_registry_.add_computed("mem.client_table_load",
-                                   [this] { return registry_.table_load_factor(); });
-    // Hibernation accounting (PR 9): how much of the population is demoted to
-    // the cold arena, and what it costs there.
-    metrics_registry_.add_computed("mem.cold_bytes_reserved", [this] {
-        return static_cast<double>(registry_.cold().bytes_reserved());
-    });
-    metrics_registry_.add_computed("mem.cold_bytes_live", [this] {
-        return static_cast<double>(registry_.cold().bytes_live());
-    });
-    metrics_registry_.add_computed("mem.cold_records", [this] {
-        return static_cast<double>(registry_.cold().records());
-    });
-
-#if NS_AUDIT_ENABLED
-    // Registered last, and only in audit builds: default-build metric ids
-    // stay byte-identical to audit-free binaries.
-    auditor_->register_metrics(metrics_registry_);
-#endif
 }
 
 void Simulation::run() {
@@ -187,16 +100,12 @@ void Simulation::run() {
     fault_engine_->arm(plan);
     const sim::SimTime window_end =
         sim::SimTime{} + config_.behavior.warmup + config_.behavior.window;
-#if NS_METRICS_ENABLED
     sampler_->start(window_end);
-#endif
 #if NS_AUDIT_ENABLED
     auditor_->start(window_end);
 #endif
     driver_->run();
-#if NS_METRICS_ENABLED
     sampler_->finish();
-#endif
 #if NS_AUDIT_ENABLED
     auditor_->finish();
 #endif

@@ -76,16 +76,10 @@ struct SimulationConfig {
     /// auditor is read-only, so this cannot change trace bytes.
     audit::AuditConfig audit;
 
-    /// Periodic metrics sampling into the trace (format v6). The sampler
-    /// reads registered metrics only — it cannot perturb the rest of the
-    /// trace. Builds with NS_METRICS=OFF never start it.
+    /// Cadence of the domain-metric samples in the trace (format v6). The
+    /// sampler reads registered metrics only — it cannot perturb the rest of
+    /// the trace.
     obs::SamplerConfig metrics;
-
-    /// Thread count for the *analysis* runtime (common/parallel.hpp) that
-    /// post-run measurement passes use; 0 keeps the NS_THREADS/-hardware
-    /// default. This knob cannot change trace bytes, only how fast the
-    /// tables/figures are computed afterwards (docs/PARALLELISM.md).
-    int threads = 0;
 };
 
 class Simulation {
@@ -110,15 +104,15 @@ public:
         return PerfStats{sim_.stats(), world_->flows().stats()};
     }
 
-    /// The observability registry: every subsystem's counters/gauges/
-    /// histograms, registered at construction in a stable order (part of the
-    /// determinism contract — registration order fixes the v6 metric ids).
-    /// perf_stats() is folded in as `sim.*` / `flow.*` computed gauges, so
-    /// `obs::to_json(sim.metrics())` is the complete runtime picture.
+    /// The sampled registry: the domain metrics (`control.*`, `edge.*`,
+    /// `client.*`, `driver.*`, `fault.*`), registered at construction in a
+    /// stable order (part of the determinism contract — registration order
+    /// fixes the v6 metric ids). Implementation counters stay out of it:
+    /// read them from perf_stats(), world().flows().pool_stats(),
+    /// registry().cold() and registry().downloads().
     [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_registry_; }
     [[nodiscard]] const obs::Registry& metrics() const noexcept { return metrics_registry_; }
-    /// The trace sampler (never null after construction; inert when the
-    /// config disables it or the build compiled metrics out).
+    /// The trace sampler (never null after construction).
     [[nodiscard]] obs::Sampler& sampler() noexcept { return *sampler_; }
     /// The invariant auditor (never null after construction; periodic sweeps
     /// only run in NS_AUDIT=ON builds, but audit_now() works everywhere).

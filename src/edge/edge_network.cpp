@@ -34,8 +34,7 @@ EdgeNetwork::EdgeNetwork(net::World& world, const Catalog& catalog,
             const HostId host = world.create_host(info);
             const auto id = EdgeId{static_cast<std::uint16_t>(servers_.size())};
             servers_.push_back(std::make_unique<EdgeServer>(id, world, catalog, authority_, host,
-                                                            config.per_connection_cap));
-            servers_.back()->set_metrics(&metrics_);
+                                                            config.per_connection_cap, metrics_));
         }
     }
     assert(!servers_.empty());

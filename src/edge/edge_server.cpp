@@ -5,13 +5,15 @@
 namespace netsession::edge {
 
 EdgeServer::EdgeServer(EdgeId id, net::World& world, const Catalog& catalog,
-                       const TokenAuthority& authority, HostId host, Rate per_connection_cap)
+                       const TokenAuthority& authority, HostId host, Rate per_connection_cap,
+                       EdgeMetrics& metrics)
     : id_(id),
       world_(&world),
       catalog_(&catalog),
       authority_(&authority),
       host_(host),
-      per_connection_cap_(per_connection_cap) {}
+      per_connection_cap_(per_connection_cap),
+      metrics_(&metrics) {}
 
 AuthToken EdgeServer::authorize(Guid guid, ObjectId object) const {
     return authority_->issue(guid, object, world_->simulator().now() + sim::hours(1.0));
@@ -21,9 +23,9 @@ net::FlowId EdgeServer::serve_piece(HostId client, Guid client_guid,
                                     const swarm::ContentObject& object, swarm::PieceIndex piece,
                                     std::function<void(Digest256)> on_done) {
     assert(catalog_->find(object.id()) != nullptr && "cannot serve unpublished content");
-    NS_OBS_INC_P(metrics_, requests);
+    metrics_->requests.inc();
     if (!online_) {
-        NS_OBS_INC_P(metrics_, refusals);
+        metrics_->refusals.inc();
         return net::FlowId{};  // request goes unanswered
     }
     const Bytes len = object.piece_length(piece);
@@ -37,8 +39,8 @@ net::FlowId EdgeServer::serve_piece(HostId client, Guid client_guid,
             forget_flow(flow);
             ledger_[key] += len;
             total_served_ += len;
-            NS_OBS_INC_P(metrics_, pieces_served);
-            NS_OBS_ADD_P(metrics_, bytes_served, len);
+            metrics_->pieces_served.inc();
+            metrics_->bytes_served.inc(static_cast<std::uint64_t>(len));
             if (done) done(digest);
         });
     live_flows_.push_back(id);

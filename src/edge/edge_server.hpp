@@ -48,8 +48,11 @@ struct DownloadKeyHash {
 
 class EdgeServer {
 public:
+    /// `metrics` is the network-wide block the EdgeNetwork owns; it must
+    /// outlive the server.
     EdgeServer(EdgeId id, net::World& world, const Catalog& catalog,
-               const TokenAuthority& authority, HostId host, Rate per_connection_cap);
+               const TokenAuthority& authority, HostId host, Rate per_connection_cap,
+               EdgeMetrics& metrics);
 
     [[nodiscard]] EdgeId id() const noexcept { return id_; }
     [[nodiscard]] HostId host() const noexcept { return host_; }
@@ -81,10 +84,6 @@ public:
     [[nodiscard]] Bytes bytes_served(Guid guid, ObjectId object) const;
     [[nodiscard]] Bytes total_bytes_served() const noexcept { return total_served_; }
 
-    /// Points the server at the network-wide metrics block (may be null; the
-    /// NS_OBS_*_P macros no-op on null). EdgeNetwork wires this at build time.
-    void set_metrics(EdgeMetrics* metrics) noexcept { metrics_ = metrics; }
-
 private:
     EdgeId id_;
     net::World* world_;
@@ -98,7 +97,7 @@ private:
     std::vector<net::FlowId> live_flows_;  // in-flight deliveries, cut on fail()
     std::unordered_map<DownloadKey, Bytes, DownloadKeyHash> ledger_;
     Bytes total_served_ = 0;
-    EdgeMetrics* metrics_ = nullptr;
+    EdgeMetrics* metrics_;
 };
 
 }  // namespace netsession::edge

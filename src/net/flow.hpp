@@ -137,7 +137,7 @@ public:
 
     [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
-    /// Flow-slab storage accounting for the mem.* gauges.
+    /// Flow-slab storage accounting (never sampled into the trace).
     [[nodiscard]] arena::PoolStats pool_stats() const noexcept;
 
 private:

@@ -28,13 +28,6 @@ std::string fmt_u64(std::uint64_t v) {
     return buf;
 }
 
-std::string prometheus_name(const std::string& name) {
-    std::string out = name;
-    for (char& c : out)
-        if (c == '.' || c == '-') c = '_';
-    return out;
-}
-
 }  // namespace
 
 std::string to_json(const Registry& registry, int indent) {
@@ -73,40 +66,6 @@ std::string to_json(const Registry& registry, int indent) {
         out += i + 1 < entries.size() ? ",\n" : "\n";
     }
     out += "}\n";
-    return out;
-}
-
-std::string to_prometheus(const Registry& registry) {
-    std::string out;
-    for (const auto& e : registry.entries()) {
-        const std::string name = prometheus_name(e.name);
-        switch (e.kind) {
-            case Kind::counter:
-                out += "# TYPE " + name + " counter\n";
-                out += name + " " + fmt_u64(e.counter->value) + "\n";
-                break;
-            case Kind::gauge:
-                out += "# TYPE " + name + " gauge\n";
-                out += name + " " + fmt_double(Registry::scalar_value(e)) + "\n";
-                break;
-            case Kind::histogram: {
-                const Histogram& h = *e.histogram;
-                out += "# TYPE " + name + " histogram\n";
-                std::uint64_t cumulative = 0;
-                for (int b = 0; b < Histogram::kBuckets; ++b) {
-                    const std::uint64_t n = h.buckets[static_cast<std::size_t>(b)];
-                    cumulative += n;
-                    if (n == 0) continue;  // sparse: only non-empty boundaries
-                    out += name + "_bucket{le=\"" + fmt_double(Histogram::bucket_hi(b)) + "\"} " +
-                           fmt_u64(cumulative) + "\n";
-                }
-                out += name + "_bucket{le=\"+Inf\"} " + fmt_u64(h.count) + "\n";
-                out += name + "_sum " + fmt_double(h.sum) + "\n";
-                out += name + "_count " + fmt_u64(h.count) + "\n";
-                break;
-            }
-        }
-    }
     return out;
 }
 

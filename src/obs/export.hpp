@@ -1,7 +1,6 @@
-// Metric exporters: render a Registry's current state as JSON (machine-
+// Metric exporter: renders a Registry's current state as JSON (machine-
 // readable artefacts like BENCH_headline.json and the golden-metrics
-// regression snapshot) or as Prometheus text-exposition format (future wire
-// export; the format is stable and scrape-ready).
+// regression snapshot).
 #pragma once
 
 #include <string>
@@ -15,11 +14,5 @@ namespace netsession::obs {
 /// empty buckets omitted. Deterministic: registration order, fixed float
 /// formatting (%.17g round-trips doubles exactly).
 [[nodiscard]] std::string to_json(const Registry& registry, int indent = 2);
-
-/// Prometheus text exposition (one `# TYPE` line plus samples per metric).
-/// Dots in metric names become underscores; histograms emit cumulative
-/// `_bucket{le="..."}` samples plus `_count` and `_sum`, as the format
-/// requires.
-[[nodiscard]] std::string to_prometheus(const Registry& registry);
 
 }  // namespace netsession::obs

@@ -12,16 +12,6 @@ void Registry::add_counter(std::string name, const Counter* c) {
     entries_.push_back(std::move(e));
 }
 
-void Registry::add_gauge(std::string name, const Gauge* g) {
-    if (g == nullptr || index_.contains(std::string_view{name})) return;
-    Entry e;
-    e.name = std::move(name);
-    e.kind = Kind::gauge;
-    e.gauge = g;
-    index_[e.name] = static_cast<std::uint32_t>(entries_.size());
-    entries_.push_back(std::move(e));
-}
-
 void Registry::add_computed(std::string name, std::function<double()> fn) {
     if (!fn || index_.contains(std::string_view{name})) return;
     Entry e;
@@ -45,7 +35,7 @@ void Registry::add_histogram(std::string name, const Histogram* h) {
 double Registry::scalar_value(const Entry& e) {
     switch (e.kind) {
         case Kind::counter: return static_cast<double>(e.counter->value);
-        case Kind::gauge: return e.computed ? e.computed() : e.gauge->value;
+        case Kind::gauge: return e.computed();
         case Kind::histogram: return static_cast<double>(e.histogram->count);
     }
     return 0.0;

@@ -1,22 +1,21 @@
-// Runtime observability: named counters, gauges, and log-bucketed histograms
-// behind a registry that the periodic sampler (obs/sampler.hpp) snapshots
-// into the trace and the exporters (obs/export.hpp) render as JSON or
-// Prometheus text.
+// Runtime observability: named counters, computed gauges, and log-bucketed
+// histograms behind a registry that the periodic sampler (obs/sampler.hpp)
+// snapshots into the trace and obs::to_json renders as JSON.
 //
 // Design goals, in order:
 //
-//  1. *Zero overhead when compiled out.* Building with -DNS_METRICS=OFF
-//     (CMake) defines NS_METRICS_ENABLED=0 and every NS_OBS_* macro expands
-//     to nothing — no loads, no stores, no branches in the hot paths. The
-//     types still exist so subsystem struct layouts and the registry API
-//     stay identical in both flavours.
+//  1. *Domain metrics only.* The registry a Simulation samples holds what the
+//     deployment does (logins, queries, edge bytes, downloads, faults), never
+//     how the simulator does it: engine, flow-solver and memory counters move
+//     with every change to the implementation, so they stay out of the trace
+//     and are read from Simulation::perf_stats() and the pool accessors.
 //
-//  2. *Cheap when enabled.* An increment is a single add on a plain member —
-//     no atomics (simulations are single-threaded by design, like the
-//     simulator itself), no name lookups, no indirection. Subsystems own
-//     their metric structs as ordinary members and register *pointers* with
-//     the registry once at wiring time; naming cost is paid at registration
-//     and sampling, never per increment.
+//  2. *Cheap.* An increment is a single add on a plain member — no atomics
+//     (simulations are single-threaded by design, like the simulator itself),
+//     no name lookups, no indirection. Subsystems own their metric structs as
+//     ordinary members and register *pointers* with the registry once at
+//     wiring time; naming cost is paid at registration and sampling, never
+//     per increment.
 //
 //  3. *Deterministic.* Metrics are pure functions of the simulation: no
 //     wall-clock, no addresses, no iteration over unordered containers.
@@ -25,7 +24,7 @@
 //
 // Metric naming scheme (docs/OBSERVABILITY.md): dot-separated
 // `<subsystem>.<noun>[_<unit>]`, e.g. `control.logins`, `edge.bytes_served`,
-// `client.edge_stalls`, `flow.active`. Histograms expand into `<name>.count`
+// `client.edge_stalls`, `fault.active`. Histograms expand into `<name>.count`
 // and `<name>.sum` series when sampled.
 #pragma once
 
@@ -39,10 +38,6 @@
 
 #include "common/flat_hash.hpp"
 
-#ifndef NS_METRICS_ENABLED
-#define NS_METRICS_ENABLED 1
-#endif
-
 namespace netsession::obs {
 
 /// Monotonically increasing event count. Wraps modulo 2^64 on overflow
@@ -51,14 +46,6 @@ struct Counter {
     std::uint64_t value = 0;
     void inc(std::uint64_t n = 1) noexcept { value += n; }
     [[nodiscard]] std::uint64_t get() const noexcept { return value; }
-};
-
-/// A point-in-time level that can move both ways (queue depth, availability).
-struct Gauge {
-    double value = 0.0;
-    void set(double v) noexcept { value = v; }
-    void add(double d) noexcept { value += d; }
-    [[nodiscard]] double get() const noexcept { return value; }
 };
 
 /// Log2-bucketed histogram of non-negative values. Bucket b holds values in
@@ -95,17 +82,8 @@ struct Histogram {
     }
 };
 
-/// What a registry entry measures.
+/// What a registry entry measures. Gauges are always computed on demand.
 enum class Kind : std::uint8_t { counter, gauge, histogram };
-
-[[nodiscard]] constexpr std::string_view to_string(Kind k) noexcept {
-    switch (k) {
-        case Kind::counter: return "counter";
-        case Kind::gauge: return "gauge";
-        case Kind::histogram: return "histogram";
-    }
-    return "unknown";
-}
 
 /// The registry: a flat, registration-ordered list of named metrics. One per
 /// Simulation; subsystems register their metric structs at wiring time and
@@ -118,15 +96,13 @@ public:
         std::string name;
         Kind kind = Kind::counter;
         const Counter* counter = nullptr;
-        const Gauge* gauge = nullptr;
         const Histogram* histogram = nullptr;
-        std::function<double()> computed;  // computed gauges (queue depths, ...)
+        std::function<double()> computed;  // gauges (queue depths, ...)
     };
 
     /// Registration. Names must be unique; duplicates are ignored (first
     /// registration wins) so re-wiring in tests is harmless.
     void add_counter(std::string name, const Counter* c);
-    void add_gauge(std::string name, const Gauge* g);
     /// A gauge computed on demand (e.g. a queue depth derived from container
     /// sizes). The callback must be cheap and deterministic.
     void add_computed(std::string name, std::function<double()> fn);
@@ -135,9 +111,9 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
     [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return entries_; }
 
-    /// Current scalar value of an entry: counter value, gauge level, or — for
-    /// histograms — the observation count (the sampler additionally emits the
-    /// sum as its own series).
+    /// Current scalar value of an entry: counter value, gauge value, or —
+    /// for histograms — the observation count (the sampler additionally
+    /// emits the sum as its own series).
     [[nodiscard]] static double scalar_value(const Entry& e);
 
     /// Looks an entry up by name; nullptr if absent. O(1) via a side index;
@@ -160,28 +136,3 @@ private:
 };
 
 }  // namespace netsession::obs
-
-// --- increment macros (compiled out with NS_METRICS=OFF) ---------------------
-//
-// Direct forms operate on a metric struct lvalue; the *_P forms go through a
-// possibly-null pointer to a shared metrics block (used by per-client code
-// where thousands of instances share one block owned by the driver).
-#if NS_METRICS_ENABLED
-#define NS_OBS_INC(counter) ((counter).inc())
-#define NS_OBS_ADD(counter, n) ((counter).inc(static_cast<std::uint64_t>(n)))
-#define NS_OBS_SET(gauge, v) ((gauge).set(static_cast<double>(v)))
-#define NS_OBS_OBSERVE(hist, v) ((hist).record(static_cast<double>(v)))
-#define NS_OBS_INC_P(ptr, field) ((ptr) != nullptr ? (ptr)->field.inc() : void(0))
-#define NS_OBS_ADD_P(ptr, field, n) \
-    ((ptr) != nullptr ? (ptr)->field.inc(static_cast<std::uint64_t>(n)) : void(0))
-#define NS_OBS_OBSERVE_P(ptr, field, v) \
-    ((ptr) != nullptr ? (ptr)->field.record(static_cast<double>(v)) : void(0))
-#else
-#define NS_OBS_INC(counter) ((void)0)
-#define NS_OBS_ADD(counter, n) ((void)0)
-#define NS_OBS_SET(gauge, v) ((void)0)
-#define NS_OBS_OBSERVE(hist, v) ((void)0)
-#define NS_OBS_INC_P(ptr, field) ((void)0)
-#define NS_OBS_ADD_P(ptr, field, n) ((void)0)
-#define NS_OBS_OBSERVE_P(ptr, field, v) ((void)0)
-#endif

@@ -31,13 +31,4 @@ ProcessMemory read_process_memory() {
     return m;
 }
 
-void register_process_memory_metrics(Registry& registry) {
-    registry.add_computed("process.rss_bytes", [] {
-        return static_cast<double>(read_process_memory().rss_bytes);
-    });
-    registry.add_computed("process.peak_rss_bytes", [] {
-        return static_cast<double>(read_process_memory().peak_rss_bytes);
-    });
-}
-
 }  // namespace netsession::obs

@@ -1,14 +1,10 @@
 // Process-level memory readings (current and peak RSS) from
-// /proc/self/status. Like the parallel.* gauges (obs/parallel_metrics.hpp),
-// these are deliberately NOT registered by Simulation: RSS depends on the
-// allocator, the platform, and whatever else ran in the process, so sampling
-// it into the trace would break the byte-identity contract. Benches fold the
-// readings into BENCH_headline.json and tools may register them locally.
+// /proc/self/status. RSS depends on the allocator, the platform, and whatever
+// else ran in the process, so it never enters a trace; benches and perfbench
+// read it directly (BENCH_headline.json, peak_rss_mib).
 #pragma once
 
 #include <cstddef>
-
-#include "obs/metrics.hpp"
 
 namespace netsession::obs {
 
@@ -19,9 +15,5 @@ struct ProcessMemory {
 
 /// Reads /proc/self/status; all-zero on platforms without procfs.
 [[nodiscard]] ProcessMemory read_process_memory();
-
-/// Registers `process.rss_bytes` / `process.peak_rss_bytes` computed gauges
-/// into `registry`. Never call this on a Simulation's sampled registry.
-void register_process_memory_metrics(Registry& registry);
 
 }  // namespace netsession::obs

@@ -7,7 +7,7 @@ Sampler::Sampler(sim::Simulator& sim, const Registry& registry, trace::TraceLog&
     : sim_(&sim), registry_(&registry), log_(&log), config_(config) {}
 
 void Sampler::start(sim::SimTime until) {
-    if (!config_.enabled || config_.interval.us <= 0) return;
+    if (config_.interval.us <= 0) return;
     until_ = until;
     sim_->schedule_after(config_.interval, [this] { tick(); });
 }
@@ -51,7 +51,7 @@ void Sampler::sample_now() {
 }
 
 void Sampler::finish() {
-    if (!config_.enabled || final_taken_) return;
+    if (final_taken_) return;
     final_taken_ = true;
     sample_now();
 }

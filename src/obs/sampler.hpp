@@ -3,8 +3,8 @@
 //
 // The sampler is deliberately passive with respect to the simulation: its
 // tick reads registered metrics and appends trace records, touching no RNG
-// stream and no simulation state, so enabling or disabling sampling cannot
-// perturb the control-plane/download sections of the trace (the byte-
+// stream and no simulation state, so the sampling cadence cannot perturb
+// the control-plane/download sections of the trace (the byte-
 // identity contract of docs/SIMULATOR.md §3 extends to the metrics section:
 // same seed + same cadence => byte-identical files).
 #pragma once
@@ -16,9 +16,6 @@
 namespace netsession::obs {
 
 struct SamplerConfig {
-    /// Whether the periodic sampler runs at all. With NS_METRICS=OFF builds
-    /// the sampler never starts regardless (there is nothing to observe).
-    bool enabled = true;
     /// Snapshot cadence in simulated time. One hour keeps a month-long
     /// standard scenario at ~720 points per series — detailed enough for
     /// `nstrace metrics`, negligible against millions of log records.

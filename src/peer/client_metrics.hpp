@@ -1,8 +1,7 @@
 // Client-tier metrics. Thousands of NetSessionClients share one block owned
-// by the population driver (workload::UserDriver); each client holds a
-// possibly-null pointer and increments through the NS_OBS_*_P macros, so a
-// client wired up directly in a unit test (no driver, no block) pays nothing
-// and changes no behaviour. See docs/OBSERVABILITY.md for the naming scheme.
+// by their PeerRegistry (peer/registry.hpp) and count into it through the
+// registry pointer they already hold. See docs/OBSERVABILITY.md for the
+// naming scheme.
 #pragma once
 
 #include "obs/metrics.hpp"

@@ -100,7 +100,7 @@ public:
         free_[cls].push_back(Loc{ref.chunk, ref.offset});
     }
 
-    // --- storage accounting (mem.cold_* gauges) -----------------------------
+    // --- storage accounting (read via PeerRegistry::cold()) -----------------
     [[nodiscard]] std::size_t bytes_reserved() const noexcept { return bytes_reserved_; }
     [[nodiscard]] std::size_t bytes_live() const noexcept { return bytes_live_; }
     [[nodiscard]] std::size_t records() const noexcept { return records_; }

@@ -579,7 +579,7 @@ void NetSessionClient::begin_download(ObjectId object, DownloadCallback on_finis
         withdraw_object(object);
     }
 
-    NS_OBS_INC_P(metrics_, downloads_started);
+    registry_->metrics().downloads_started.inc();
     // Pool acquisition: a parked Download (from any client on this host set)
     // is reused with its arrays at capacity; reset() wipes the carried state.
     auto& pool = registry_->downloads();
@@ -754,7 +754,7 @@ void NetSessionClient::on_edge_piece(ObjectId object, std::uint32_t epoch, std::
     if (res_->rng.chance(config_->corruption_prob_edge)) digest = corrupted(digest);
     if (!d.entry->object.verify(piece, digest)) {
         ++d.corrupt_pieces;
-        NS_OBS_INC_P(metrics_, corrupt_pieces);
+        registry_->metrics().corrupt_pieces.inc();
         plane_->monitoring().report_problem(guid_, control::ProblemKind::piece_corruption);
         if (d.corrupt_pieces > config_->max_corrupt_pieces) {
             finish_download(object, trace::DownloadOutcome::failed_system);
@@ -766,7 +766,7 @@ void NetSessionClient::on_edge_piece(ObjectId object, std::uint32_t epoch, std::
 
     const Bytes len = d.entry->object.piece_length(piece);
     d.bytes_infra += len;
-    NS_OBS_ADD_P(metrics_, bytes_from_edge, len);
+    registry_->metrics().bytes_from_edge.inc(static_cast<std::uint64_t>(len));
     if (d.have.set(piece)) {
         // (A duplicate of a piece a peer delivered meanwhile is paid for but
         // announced only once.)
@@ -1015,7 +1015,7 @@ void NetSessionClient::on_peer_piece(ObjectId object, std::uint32_t epoch, Guid 
         // Discard the piece; it is never passed on to other peers (§3.5).
         ++d.corrupt_pieces;
         ++src.corrupt_pieces;
-        NS_OBS_INC_P(metrics_, corrupt_pieces);
+        registry_->metrics().corrupt_pieces.inc();
         plane_->monitoring().report_problem(guid_, control::ProblemKind::piece_corruption);
         if (d.corrupt_pieces > config_->max_corrupt_pieces) {
             finish_download(object, trace::DownloadOutcome::failed_system);
@@ -1036,7 +1036,7 @@ void NetSessionClient::on_peer_piece(ObjectId object, std::uint32_t epoch, Guid 
     }
 
     d.bytes_peers += len;
-    NS_OBS_ADD_P(metrics_, bytes_from_peers, len);
+    registry_->metrics().bytes_from_peers.inc(static_cast<std::uint64_t>(len));
     src.bytes += len;
     res_->source_failures.erase(from);  // a delivered piece clears the strike count
     auto& [ip, total] = d.per_source_bytes[from];
@@ -1132,16 +1132,15 @@ void NetSessionClient::on_source_lost(Guid uploader, ObjectId object) {
 // --- failure hardening -------------------------------------------------------------------
 
 void NetSessionClient::note_degradation(trace::DegradationKind kind) {
+    ClientMetrics& m = registry_->metrics();
     switch (kind) {
-        case trace::DegradationKind::edge_stall: NS_OBS_INC_P(metrics_, edge_stalls); break;
-        case trace::DegradationKind::edge_remapped: NS_OBS_INC_P(metrics_, edge_remaps); break;
-        case trace::DegradationKind::peer_stall: NS_OBS_INC_P(metrics_, peer_stalls); break;
-        case trace::DegradationKind::source_blacklisted:
-            NS_OBS_INC_P(metrics_, blacklists);
-            break;
-        case trace::DegradationKind::query_timeout: NS_OBS_INC_P(metrics_, query_timeouts); break;
-        case trace::DegradationKind::login_timeout: NS_OBS_INC_P(metrics_, login_timeouts); break;
-        case trace::DegradationKind::stun_timeout: NS_OBS_INC_P(metrics_, stun_timeouts); break;
+        case trace::DegradationKind::edge_stall: m.edge_stalls.inc(); break;
+        case trace::DegradationKind::edge_remapped: m.edge_remaps.inc(); break;
+        case trace::DegradationKind::peer_stall: m.peer_stalls.inc(); break;
+        case trace::DegradationKind::source_blacklisted: m.blacklists.inc(); break;
+        case trace::DegradationKind::query_timeout: m.query_timeouts.inc(); break;
+        case trace::DegradationKind::login_timeout: m.login_timeouts.inc(); break;
+        case trace::DegradationKind::stun_timeout: m.stun_timeouts.inc(); break;
     }
     // Simulator-level telemetry (not part of the CN log schema): recorded
     // directly, because most degradations happen exactly when the control
@@ -1259,7 +1258,7 @@ void NetSessionClient::schedule_edge_retry(ObjectId object) {
     Download* dp = find_download(object);
     if (dp == nullptr) return;
     Download& d = *dp;
-    NS_OBS_INC_P(metrics_, edge_retries);
+    registry_->metrics().edge_retries.inc();
     // Capped exponential backoff: no hammering a dead edge every tick, quick
     // recovery once something changes (reset on the next delivered piece).
     d.edge_retry_delay_s = d.edge_retry_delay_s == 0
@@ -1334,12 +1333,13 @@ void NetSessionClient::finish_download(ObjectId object, trace::DownloadOutcome o
     rec.peers_initially_returned = std::max(0, d.peers_initially_returned);
     rec.outcome = outcome;
 
+    ClientMetrics& m = registry_->metrics();
     if (outcome == trace::DownloadOutcome::completed)
-        NS_OBS_INC_P(metrics_, downloads_completed);
+        m.downloads_completed.inc();
     else
-        NS_OBS_INC_P(metrics_, downloads_failed);
-    NS_OBS_OBSERVE_P(metrics_, download_bytes, d.bytes_infra + d.bytes_peers);
-    NS_OBS_OBSERVE_P(metrics_, download_duration_s, (rec.end - rec.start).seconds());
+        m.downloads_failed.inc();
+    m.download_bytes.record(static_cast<double>(d.bytes_infra + d.bytes_peers));
+    m.download_duration_s.record((rec.end - rec.start).seconds());
 
     std::vector<trace::TransferRecord> transfers;
     const net::IpAddr my_ip = world_->host(host_).attach.ip;

@@ -28,7 +28,6 @@
 #include "control/control_plane.hpp"
 #include "edge/edge_network.hpp"
 #include "peer/client_config.hpp"
-#include "peer/client_metrics.hpp"
 #include "peer/cold_store.hpp"
 #include "peer/download_state.hpp"
 #include "peer/registry.hpp"
@@ -181,10 +180,6 @@ public:
         tamper_ = std::move(fn);
     }
 
-    /// Points the client at a shared metrics block (normally the driver's).
-    /// Null (the default) disables client metrics for this instance.
-    void set_metrics(ClientMetrics* metrics) noexcept { metrics_ = metrics; }
-
     /// Marks this peer's cached data as silently corrupted (bad disk/RAM):
     /// every piece it uploads fails hash verification at the downloader.
     /// Receivers discard such pieces and never pass them on (§3.5).
@@ -322,7 +317,6 @@ private:
     bool corrupt_uploads_ = false;
     Rate base_up_;
     std::function<void(trace::DownloadRecord&)> tamper_;
-    ClientMetrics* metrics_ = nullptr;  // shared, driver-owned; may be null
 
     /// Fat state; null while hibernated.
     std::unique_ptr<Resident> res_;

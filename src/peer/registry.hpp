@@ -10,7 +10,8 @@
 // The registry also owns the host-wide Download pool: per-download state is
 // arena-allocated and *parked* on completion, so a 200k-peer run recycles a
 // bounded working set of Download objects (with their source arrays, piece
-// maps and hash tables at capacity) instead of churning the heap.
+// maps and hash tables at capacity) instead of churning the heap. It also
+// owns the one ClientMetrics block that all of its clients count into.
 #pragma once
 
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "common/flat_hash.hpp"
 #include "common/types.hpp"
 #include "peer/client_config.hpp"
+#include "peer/client_metrics.hpp"
 #include "peer/cold_store.hpp"
 #include "peer/download_state.hpp"
 
@@ -46,8 +48,8 @@ public:
         return download_pool_;
     }
 
-    /// Storage accounting for the mem.* gauges.
-    [[nodiscard]] double table_load_factor() const noexcept { return clients_.load_factor(); }
+    /// Client-tier metrics shared by every client of this registry.
+    [[nodiscard]] ClientMetrics& metrics() noexcept { return metrics_; }
 
     /// Chunked arena holding hibernated clients' serialized state (see
     /// peer/cold_store.hpp).
@@ -76,6 +78,7 @@ private:
     ColdStore cold_;
     ColdWriter cold_writer_;
     std::vector<std::unique_ptr<ClientConfig>> configs_;
+    ClientMetrics metrics_;
 };
 
 }  // namespace netsession::peer

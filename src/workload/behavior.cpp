@@ -100,7 +100,6 @@ void UserDriver::create_users(int n) {
         auto client = std::make_unique<peer::NetSessionClient>(
             *world_, *plane_, *edges_, bundle_->catalog(), *registry_, guid, host, cfg,
             u.rng.child("client"));
-        client->set_metrics(&client_metrics_);
         u.client = client.get();
 
         if (u.rng.chance(behavior_.corruptor_fraction)) u.client->set_corrupt_uploads(true);
@@ -431,7 +430,7 @@ int UserDriver::flash_crowd(double fraction, Rng& rng) {
 }
 
 void UserDriver::register_metrics(obs::Registry& registry) {
-    client_metrics_.register_with(registry);
+    registry_->metrics().register_with(registry);
     registry.add_computed("driver.downloads_requested",
                           [this] { return static_cast<double>(downloads_requested_); });
     registry.add_computed("driver.downloads_finished",

@@ -118,10 +118,11 @@ public:
     [[nodiscard]] std::int64_t downloads_finished() const noexcept { return downloads_finished_; }
     [[nodiscard]] std::int64_t sessions_started() const noexcept { return sessions_started_; }
 
-    /// Registers the population-wide client metrics block (shared by every
-    /// client this driver creates) plus driver-level behaviour gauges.
+    /// Registers the population-wide client metrics block (the registry's,
+    /// shared by every client this driver creates) plus driver-level
+    /// behaviour gauges.
     void register_metrics(obs::Registry& registry);
-    [[nodiscard]] peer::ClientMetrics& client_metrics() noexcept { return client_metrics_; }
+    [[nodiscard]] peer::ClientMetrics& client_metrics() noexcept { return registry_->metrics(); }
 
     /// Maps a country to the paper's nine-column report region (used for
     /// provider affinity).
@@ -178,7 +179,6 @@ private:
     std::int64_t downloads_requested_ = 0;
     std::int64_t downloads_finished_ = 0;
     std::int64_t sessions_started_ = 0;
-    peer::ClientMetrics client_metrics_;
 };
 
 }  // namespace netsession::workload

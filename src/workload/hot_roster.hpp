@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace netsession::peer {
@@ -52,28 +53,28 @@ public:
     /// sweeps draw RNG per visited client, so the visit order must be
     /// independent of the swap-remove history — identical to what a scan of
     /// the full creation-order array used to produce. Safe against add/remove
-    /// from inside `fn` (iterates a snapshot).
+    /// from inside `fn`: it iterates a snapshot of (user, client) pairs, so
+    /// a swap-remove during the visit cannot re-pair a user with another
+    /// user's client.
     template <typename Fn>
     void for_each_in_creation_order(Fn&& fn) const {
-        order_scratch_.clear();
-        order_scratch_.reserve(creation_.size());
-        for (std::uint32_t slot = 0; slot < creation_.size(); ++slot)
-            order_scratch_.push_back((static_cast<std::uint64_t>(creation_[slot]) << 32) | slot);
-        std::sort(order_scratch_.begin(), order_scratch_.end());
-        for (const std::uint64_t packed : order_scratch_) {
-            const auto slot = static_cast<std::uint32_t>(packed & 0xFFFFFFFFu);
-            fn(static_cast<std::uint32_t>(packed >> 32), client_[slot]);
-        }
+        std::vector<std::pair<std::uint32_t, peer::NetSessionClient*>> order;
+        order.reserve(creation_.size());
+        for (std::size_t slot = 0; slot < creation_.size(); ++slot)
+            order.emplace_back(creation_[slot], client_[slot]);
+        // Users are unique, so ordering by user alone is total.
+        std::sort(order.begin(), order.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        for (const auto& [user, client] : order) fn(user, client);
     }
 
 private:
     static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
 
     // SoA columns, indexed by dense hot slot.
-    std::vector<std::uint32_t> creation_;            ///< user (creation) index
-    std::vector<peer::NetSessionClient*> client_;    ///< paired client pointer
-    std::vector<std::uint32_t> index_of_;            ///< user index -> hot slot
-    mutable std::vector<std::uint64_t> order_scratch_;  ///< reusable sort buffer
+    std::vector<std::uint32_t> creation_;          ///< user (creation) index
+    std::vector<peer::NetSessionClient*> client_;  ///< paired client pointer
+    std::vector<std::uint32_t> index_of_;          ///< user index -> hot slot
 };
 
 }  // namespace netsession::workload

@@ -109,17 +109,14 @@ TEST(Auditor, CountersAccountForEverySweep) {
 TEST(Auditor, EnablingAuditorDoesNotChangeTraceBytes) {
     // Passivity: the same scenario serialized with the periodic auditor on
     // and off must produce identical bytes — every login, download, transfer
-    // and fault record untouched. Metric sampling is off for the comparison:
-    // the sim.events_* bookkeeping gauges count the auditor's own tick events
-    // (exactly as they count the sampler's), which is the one sanctioned
-    // difference. In NS_AUDIT=OFF builds both runs simply never audit — the
-    // comparison still pins determinism.
+    // and fault record and every sampled metric untouched. In NS_AUDIT=OFF
+    // builds both runs simply never audit — the comparison still pins
+    // determinism.
     const auto run_once = [](bool audit_on, const std::string& path) {
         auto config = audit_config(605);
         config.peers = 300;
         add_fault(config, "edge_outage at=1.5 duration=0.2 region=all");
         add_fault(config, "mass_churn at=2 fraction=0.3");
-        config.metrics.enabled = false;
         config.audit.enabled = audit_on;
         config.audit.interval = sim::hours(1.0);
         Simulation s(config);

@@ -2,7 +2,6 @@
 // and the bit-identity-across-thread-counts contract (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -48,17 +47,6 @@ TEST(Parallel, SmallInputsAreOneChunk) {
     EXPECT_EQ(detail::num_chunks(1), 1u);
     EXPECT_EQ(detail::num_chunks(detail::kGrain), 1u);
     EXPECT_EQ(detail::num_chunks(detail::kGrain + 1), 2u);
-}
-
-TEST(Parallel, ParallelForVisitsEveryIndexOnce) {
-    ThreadCountGuard guard;
-    set_thread_count(4);
-    const std::size_t n = 3 * detail::kGrain + 17;
-    std::vector<std::atomic<int>> hits(n);
-    parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(Parallel, ReduceMergesInAscendingChunkOrder) {

@@ -110,9 +110,6 @@ TEST(ScenarioIo, IntegerKnobsLoadExactlyOrFail) {
         {"total_ases = " + countries, true},
         {"total_ases = " + too_few_ases, false},
         {"total_ases = 4097", false},
-        {"threads = 1024", true},
-        {"threads = 1025", false},
-        {"threads = -1", false},
         {"max_peer_sources = 12abc", false},
     };
     for (const Case& c : cases) {
@@ -128,10 +125,14 @@ TEST(ScenarioIo, IntegerKnobsLoadExactlyOrFail) {
     }
 }
 
-TEST(ScenarioIo, ShardsKeyIsUnknown) {
-    const auto result = parse_scenario("shards = 4\n");
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.error().message.find("unknown key 'shards'"), std::string::npos);
+TEST(ScenarioIo, RemovedKeysAreUnknown) {
+    // Knobs that no longer exist fail loudly instead of being ignored.
+    for (const std::string key : {"shards", "threads"}) {
+        SCOPED_TRACE(key);
+        const auto result = parse_scenario(key + " = 4\n");
+        ASSERT_FALSE(result.ok());
+        EXPECT_NE(result.error().message.find("unknown key '" + key + "'"), std::string::npos);
+    }
 }
 
 TEST(ScenarioIo, TemplateIsLoadable) {

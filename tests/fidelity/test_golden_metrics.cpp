@@ -18,7 +18,6 @@
 #include <iterator>
 #include <string>
 
-#include "audit/auditor.hpp"
 #include "core/simulation.hpp"
 #include "obs/export.hpp"
 
@@ -28,13 +27,6 @@ namespace {
 const char* kGoldenPath = NS_SOURCE_DIR "/tests/data/golden_metrics_small.json";
 
 TEST(GoldenMetrics, RegistryJsonMatchesSnapshot) {
-#if !NS_METRICS_ENABLED
-    GTEST_SKIP() << "metrics compiled out (NS_METRICS=OFF); nothing to snapshot";
-#endif
-#if NS_AUDIT_ENABLED
-    GTEST_SKIP() << "audit builds register audit.* gauges and the auditor's tick "
-                    "events shift sim.events_*; the snapshot pins the default build";
-#endif
     SimulationConfig config;
     config.seed = 7;
     config.peers = 300;

@@ -24,9 +24,6 @@ SimulationConfig differential_config() {
     config.behavior.warmup = sim::days(1.0);
     config.behavior.window = sim::days(2.5);
     config.behavior.downloads_per_peer_per_month = 25.0;
-    // The mem.cold_* gauges legitimately differ between the two builds (that
-    // is the point of the diet); everything else in the trace must not.
-    config.metrics.enabled = false;
     for (const char* spec : {"flash_crowd at=1.2 fraction=0.3", "mass_churn at=1.5 fraction=0.4",
                              "mass_churn at=2.1 fraction=0.25"}) {
         auto event = fault::parse_fault_event(spec);

@@ -1,5 +1,5 @@
 // Registry semantics: instrument types, bucket boundaries, registration
-// rules, and the JSON/Prometheus exporters.
+// rules, and the JSON exporter.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -65,7 +65,7 @@ TEST(Histogram, RecordAccumulatesCountSumMean) {
     EXPECT_EQ(h.buckets[3], 1u);  // 6.0 in (4, 8]
 }
 
-// --- Counter / Gauge ----------------------------------------------------------
+// --- Counter ------------------------------------------------------------------
 
 TEST(Counter, OverflowWrapsModulo2To64) {
     Counter c;
@@ -76,29 +76,20 @@ TEST(Counter, OverflowWrapsModulo2To64) {
     EXPECT_EQ(c.get(), 5u);
 }
 
-TEST(Gauge, SetAndAddMoveBothWays) {
-    Gauge g;
-    g.set(10.0);
-    g.add(-3.5);
-    EXPECT_DOUBLE_EQ(g.get(), 6.5);
-}
-
 // --- Registry -----------------------------------------------------------------
 
 TEST(Registry, PreservesRegistrationOrder) {
     Counter a, b;
-    Gauge g;
     Histogram h;
     Registry r;
     r.add_counter("z.second", &b);
     r.add_counter("a.first", &a);
-    r.add_gauge("m.gauge", &g);
     r.add_histogram("m.hist", &h);
     r.add_computed("m.computed", [] { return 42.0; });
-    ASSERT_EQ(r.size(), 5u);
+    ASSERT_EQ(r.size(), 4u);
     EXPECT_EQ(r.entries()[0].name, "z.second") << "order is registration, not lexicographic";
     EXPECT_EQ(r.entries()[1].name, "a.first");
-    EXPECT_EQ(r.entries()[4].name, "m.computed");
+    EXPECT_EQ(r.entries()[3].name, "m.computed");
 }
 
 TEST(Registry, DuplicateNamesIgnoredFirstWins) {
@@ -115,109 +106,41 @@ TEST(Registry, DuplicateNamesIgnoredFirstWins) {
 TEST(Registry, ScalarValuePerKind) {
     Counter c;
     c.inc(3);
-    Gauge g;
-    g.set(2.5);
     Histogram h;
     h.record(10.0);
     h.record(20.0);
     Registry r;
     r.add_counter("c", &c);
-    r.add_gauge("g", &g);
     r.add_histogram("h", &h);
     r.add_computed("f", [] { return -1.0; });
     EXPECT_DOUBLE_EQ(Registry::scalar_value(*r.find("c")), 3.0);
-    EXPECT_DOUBLE_EQ(Registry::scalar_value(*r.find("g")), 2.5);
     EXPECT_DOUBLE_EQ(Registry::scalar_value(*r.find("h")), 2.0) << "histogram scalar = count";
     EXPECT_DOUBLE_EQ(Registry::scalar_value(*r.find("f")), -1.0);
     EXPECT_EQ(r.find("missing"), nullptr);
 }
 
-// --- Macros -------------------------------------------------------------------
-
-struct FakeBlock {
-    Counter hits;
-    Histogram sizes;
-};
-
-TEST(Macros, NullPointerFormsAreSafeNoOps) {
-    FakeBlock* none = nullptr;
-    NS_OBS_INC_P(none, hits);
-    NS_OBS_ADD_P(none, hits, 10);
-    NS_OBS_OBSERVE_P(none, sizes, 5.0);
-    SUCCEED() << "no crash on unwired metrics block";
-}
-
-#if NS_METRICS_ENABLED
-TEST(Macros, PointerFormsMutateThroughLivePointer) {
-    FakeBlock block;
-    FakeBlock* p = &block;
-    NS_OBS_INC_P(p, hits);
-    NS_OBS_ADD_P(p, hits, 4);
-    NS_OBS_OBSERVE_P(p, sizes, 100.0);
-    EXPECT_EQ(block.hits.get(), 5u);
-    EXPECT_EQ(block.sizes.count, 1u);
-}
-
-TEST(Macros, DirectFormsMutate) {
-    Counter c;
-    Gauge g;
-    Histogram h;
-    NS_OBS_INC(c);
-    NS_OBS_ADD(c, 2);
-    NS_OBS_SET(g, 9);
-    NS_OBS_OBSERVE(h, 3.0);
-    EXPECT_EQ(c.get(), 3u);
-    EXPECT_DOUBLE_EQ(g.get(), 9.0);
-    EXPECT_EQ(h.count, 1u);
-}
-#endif
-
 // --- Exporters ----------------------------------------------------------------
-
-Registry sample_registry(Counter& c, Gauge& g, Histogram& h) {
-    Registry r;
-    r.add_counter("edge.requests", &c);
-    r.add_gauge("edge.online", &g);
-    r.add_histogram("client.download_bytes", &h);
-    r.add_computed("flow.active", [] { return 12.0; });
-    return r;
-}
 
 TEST(Export, JsonIsDeterministicAndComplete) {
     Counter c;
     c.inc(41);
-    Gauge g;
-    g.set(19.0);
     Histogram h;
     h.record(3.0);
     h.record(1000.0);
-    const Registry r = sample_registry(c, g, h);
+    Registry r;
+    r.add_counter("edge.requests", &c);
+    r.add_histogram("client.download_bytes", &h);
+    r.add_computed("edge.online", [] { return 19.0; });
     const std::string json = to_json(r);
     EXPECT_EQ(json, to_json(r)) << "same state must render identically";
     EXPECT_NE(json.find("\"edge.requests\": 41"), std::string::npos) << json;
     EXPECT_NE(json.find("\"edge.online\": 19"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"flow.active\": 12"), std::string::npos) << json;
     EXPECT_NE(json.find("\"client.download_bytes\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"count\": 2"), std::string::npos) << json;
     // Sparse buckets: two observations -> exactly two [hi, n] pairs.
     EXPECT_NE(json.find("[4, 1]"), std::string::npos) << json;
     EXPECT_NE(json.find("[1024, 1]"), std::string::npos) << json;
     EXPECT_EQ(json.find("[2, "), std::string::npos) << "empty buckets omitted: " << json;
-}
-
-TEST(Export, PrometheusTextExposition) {
-    Counter c;
-    c.inc(5);
-    Gauge g;
-    Histogram h;
-    h.record(2.0);
-    const Registry r = sample_registry(c, g, h);
-    const std::string text = to_prometheus(r);
-    EXPECT_NE(text.find("# TYPE edge_requests counter"), std::string::npos) << text;
-    EXPECT_NE(text.find("edge_requests 5"), std::string::npos) << text;
-    EXPECT_NE(text.find("# TYPE client_download_bytes histogram"), std::string::npos) << text;
-    EXPECT_NE(text.find("client_download_bytes_count 1"), std::string::npos) << text;
-    EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos) << "cumulative +Inf bucket required";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 
 #include "core/simulation.hpp"
 #include "obs/metrics.hpp"
@@ -58,18 +59,6 @@ TEST(Sampler, FinishClosesRunsWhoseCadenceMissesTheWindowEnd) {
     sampler.finish();
     sampler.finish();
     EXPECT_EQ(sampler.samples_taken(), 3u) << "finish() is idempotent";
-}
-
-TEST(Sampler, DisabledSamplerNeverSamples) {
-    Fixture f;
-    SamplerConfig config;
-    config.enabled = false;
-    Sampler sampler(f.sim, f.registry, f.log, config);
-    sampler.start(sim::SimTime{} + sim::hours(10.0));
-    f.sim.run();
-    sampler.finish();
-    EXPECT_EQ(sampler.samples_taken(), 0u);
-    EXPECT_TRUE(f.log.metric_points().empty());
 }
 
 TEST(Sampler, HistogramsExpandIntoCountAndSumSeries) {
@@ -151,11 +140,7 @@ TEST(Sampler, SampledRunsAreByteIdenticalForSameSeed) {
     const auto run_once = [&](const std::string& path) {
         Simulation s(config);
         s.run();
-#if NS_METRICS_ENABLED
         EXPECT_FALSE(s.trace().metric_points().empty()) << "sampler must have run";
-#else
-        EXPECT_TRUE(s.trace().metric_points().empty());
-#endif
         trace::Dataset dataset;
         dataset.log = s.trace();
         ASSERT_TRUE(trace::save_dataset(dataset, path));
@@ -173,6 +158,26 @@ TEST(Sampler, SampledRunsAreByteIdenticalForSameSeed) {
         << "sampled traces differ between identical runs";
     std::filesystem::remove(path_a);
     std::filesystem::remove(path_b);
+}
+
+TEST(Sampler, SimulationSamplesDomainMetricsOnly) {
+    // The trace carries what the deployment did, never how the simulator
+    // did it: engine, flow-solver and memory counters stay out of the
+    // sampled registry, so a layout or bookkeeping change cannot move a
+    // trace byte.
+    SimulationConfig config;
+    config.seed = 3;
+    config.peers = 50;
+    config.as_graph.total_ases = 200;
+    Simulation s(config);
+    ASSERT_GT(s.metrics().size(), 0u);
+    for (const auto& e : s.metrics().entries()) {
+        const std::string_view name = e.name;
+        EXPECT_TRUE(name.starts_with("control.") || name.starts_with("edge.") ||
+                    name.starts_with("client.") || name.starts_with("driver.") ||
+                    name.starts_with("fault."))
+            << name << " is not a domain metric";
+    }
 }
 
 }  // namespace

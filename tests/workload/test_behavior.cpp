@@ -2,14 +2,17 @@
 // with exaggerated knobs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "analysis/guid_graph.hpp"
 #include "analysis/login_index.hpp"
 #include "analysis/measurement.hpp"
 #include "core/simulation.hpp"
+#include "workload/hot_roster.hpp"
 
 namespace netsession::workload {
 namespace {
@@ -145,6 +148,35 @@ TEST(Behavior, ProviderLoyaltyConcentratesDownloads) {
     for (const auto& [guid, cps] : per_guid)
         if (cps.size() > 1) ++multi;
     EXPECT_EQ(multi, 0);
+}
+
+TEST(HotRoster, VisitKeepsEachUserWithItsClientAcrossRemovals) {
+    // crash_peers removes clients from inside the visit. The swap-remove
+    // moves another user into the freed slot, and an add reuses the slot
+    // past the end; the visit must still hand every user its own client.
+    // Distinct, suitably aligned addresses stand in for the clients; the
+    // roster never dereferences them.
+    struct alignas(64) Slot {
+        char bytes[64];
+    };
+    std::array<Slot, 8> storage{};
+    const auto client_of = [&](std::uint32_t user) {
+        return reinterpret_cast<peer::NetSessionClient*>(&storage[user]);
+    };
+    HotRoster roster;
+    roster.add(0, client_of(0));
+    roster.add(1, client_of(1));
+    std::vector<std::uint32_t> visited;
+    roster.for_each_in_creation_order([&](std::uint32_t user, peer::NetSessionClient* client) {
+        visited.push_back(user);
+        EXPECT_EQ(client, client_of(user)) << "user " << user << " got another user's client";
+        if (user == 0) {
+            roster.remove(0);
+            roster.add(5, client_of(5));
+        }
+    });
+    EXPECT_EQ(visited, (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ(roster.size(), 2u);
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ run_flavour() {
     # metrics block are exactly the kind of code the sanitizers exist for,
     # and a KS-bound drift must fail CI, not just a local run.
     echo "==== [$name] obs/fidelity focus ===="
-    (cd "$build_dir" && ctest --output-on-failure -R 'Histogram|Counter|Gauge|Registry|Macros|Export|Sampler|FidelityRun|GoldenMetrics')
+    (cd "$build_dir" && ctest --output-on-failure -R 'Histogram|Counter|Registry|Export|Sampler|FidelityRun|GoldenMetrics')
     # Arena/flat-hash focus: the memory layout under the whole event path
     # (docs/SIMULATOR.md "Memory layout"). The ASan flavour configures with
     # -DNS_ARENA_CHECKS=1, so this is also where the dangling-handle
@@ -87,12 +87,16 @@ run_audit_flavour() {
     echo "==== [audit] configure ===="
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=address \
         -DNS_AUDIT=ON -DNS_AUDIT_FATAL=ON \
-        -DCMAKE_CXX_FLAGS=-DNS_ARENA_CHECKS=1 >/dev/null
+        "-DCMAKE_CXX_FLAGS=-DNS_ARENA_CHECKS=1 -D_GLIBCXX_ASSERTIONS" >/dev/null
     echo "==== [audit] build ===="
     cmake --build "$build_dir" -j "$JOBS"
     echo "==== [audit] fault/integration focus (auditor fatal) ===="
     (cd "$build_dir" && ctest --output-on-failure \
         -R 'Audit|Fault|Chaos|Robustness|Simulation|Integration|Campaign|Recovery')
+    # Audit builds sample the same registry as default builds, so the golden
+    # snapshot and the whole-trace hibernation differential must hold here.
+    echo "==== [audit] golden metrics + hibernation differential ===="
+    (cd "$build_dir" && ctest --output-on-failure -R 'GoldenMetrics|HibernationDifferential')
     echo "==== [audit] chaos-fuzz smoke (5 seeds, byte-identity) ===="
     local fuzz_dir="$build_dir/chaos_fuzz"
     mkdir -p "$fuzz_dir"
@@ -171,15 +175,17 @@ run_tsan_flavour() {
     cmake --build "$build_dir" -j "$JOBS"
     echo "==== [tsan] parallel/analysis/obs/fidelity focus ===="
     (cd "$build_dir" && NS_THREADS=4 ctest --output-on-failure \
-        -R 'Parallel|ThreadInvariance|Stats|GuidGraph|Measurement|Serialize|Histogram|Counter|Gauge|Registry|Export|Sampler|FidelityRun|GoldenMetrics')
+        -R 'Parallel|ThreadInvariance|Stats|GuidGraph|Measurement|Serialize|Histogram|Counter|Registry|Export|Sampler|FidelityRun|GoldenMetrics')
 }
 
 run_flavour release build-ci-release -DCMAKE_BUILD_TYPE=Release
 # NS_ARENA_CHECKS=1: RelWithDebInfo defines NDEBUG, which would compile the
 # arena's dangling-handle generation checks out — force them on so ASan runs
-# with every pool dereference verified.
+# with every pool dereference verified. _GLIBCXX_ASSERTIONS bounds-checks
+# every standard container index, which ASan misses while the read stays
+# inside the vector's capacity.
 run_flavour asan build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=address \
-    -DCMAKE_CXX_FLAGS=-DNS_ARENA_CHECKS=1
+    "-DCMAKE_CXX_FLAGS=-DNS_ARENA_CHECKS=1 -D_GLIBCXX_ASSERTIONS"
 run_flavour ubsan build-ci-ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=undefined
 run_audit_flavour
 run_tsan_flavour

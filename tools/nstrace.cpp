@@ -133,8 +133,7 @@ void cmd_metrics(const trace::Dataset& dataset, const char* series) {
     const auto& names = dataset.log.metric_names();
     const auto& points = dataset.log.metric_points();
     if (names.empty() || points.empty()) {
-        std::printf("no metric samples in this trace (pre-v6 data, NS_METRICS=OFF build, or "
-                    "sampling disabled)\n");
+        std::printf("no metric samples in this trace (pre-v6 data)\n");
         return;
     }
     if (series != nullptr) {
