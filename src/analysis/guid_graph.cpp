@@ -1,7 +1,7 @@
 #include "analysis/guid_graph.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -10,110 +10,104 @@ namespace netsession::analysis {
 
 namespace {
 
-struct Graph {
-    // vertex -> successors (dedup'd)
-    std::unordered_map<SecondaryGuid, std::unordered_set<SecondaryGuid>> out;
-    std::unordered_map<SecondaryGuid, int> in_degree;
-    std::unordered_set<SecondaryGuid> vertices;
+/// A secondary-GUID edge, (older, newer).
+using Edge = std::pair<SecondaryGuid, SecondaryGuid>;
 
-    void add_edge(SecondaryGuid a, SecondaryGuid b) {
-        vertices.insert(a);
-        vertices.insert(b);
-        if (out[a].insert(b).second) ++in_degree[b];
+/// Compares an edge by its older end, so equal_range finds a vertex's
+/// out-edges.
+struct ByOlder {
+    bool operator()(const Edge& e, const SecondaryGuid& v) const { return e.first < v; }
+    bool operator()(const SecondaryGuid& v, const Edge& e) const { return v < e.first; }
+};
+
+/// One GUID's graph as sorted flat vectors. A chunk reuses one FlatGraph for
+/// all its GUIDs, so the buffers are allocated once per chunk.
+struct FlatGraph {
+    std::vector<Edge> edges;              // sorted, duplicate-free
+    std::vector<SecondaryGuid> vertices;  // sorted, duplicate-free
+    std::vector<SecondaryGuid> heads;     // newer end of every edge, sorted
+
+    void build(const std::vector<const trace::LoginRecord*>& history) {
+        edges.clear();
+        for (const trace::LoginRecord* login : history) {
+            // secondary_guids is newest-first; edges run old -> new.
+            const auto& s = login->secondary_guids;
+            for (std::size_t j = 0; j + 1 < s.size(); ++j)
+                if (!s[j].is_nil() && !s[j + 1].is_nil()) edges.emplace_back(s[j + 1], s[j]);
+        }
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+        vertices.clear();
+        heads.clear();
+        for (const auto& [older, newer] : edges) {
+            vertices.push_back(older);
+            vertices.push_back(newer);
+            heads.push_back(newer);
+        }
+        std::sort(vertices.begin(), vertices.end());
+        vertices.erase(std::unique(vertices.begin(), vertices.end()), vertices.end());
+        std::sort(heads.begin(), heads.end());
+    }
+
+    [[nodiscard]] std::size_t out_degree(const SecondaryGuid& v) const {
+        const auto [lo, hi] = std::equal_range(edges.begin(), edges.end(), v, ByOlder{});
+        return static_cast<std::size_t>(hi - lo);
+    }
+    [[nodiscard]] std::size_t in_degree(const SecondaryGuid& v) const {
+        const auto [lo, hi] = std::equal_range(heads.begin(), heads.end(), v);
+        return static_cast<std::size_t>(hi - lo);
     }
 };
 
-/// Depth of the longest path from v (acyclic graphs only; depth capped).
-int subtree_depth(const Graph& g, SecondaryGuid v, int budget) {
-    if (budget <= 0) return 0;
-    const auto it = g.out.find(v);
-    if (it == g.out.end() || it->second.empty()) return 0;
-    int best = 0;
-    for (const auto& next : it->second) best = std::max(best, 1 + subtree_depth(g, next, budget - 1));
-    return best;
-}
-
-GuidGraphPattern classify(const Graph& g) {
+GuidGraphPattern classify(const FlatGraph& g) {
     // Roots and structural sanity: a chain/tree has exactly one root and no
     // vertex with in-degree > 1.
-    std::vector<SecondaryGuid> roots;
+    int roots = 0;
     int leaves = 0;
     int branch_points = 0;
     SecondaryGuid branch_vertex{};
-    for (const auto& v : g.vertices) {
-        const auto in_it = g.in_degree.find(v);
-        const int in = in_it == g.in_degree.end() ? 0 : in_it->second;
-        if (in == 0) roots.push_back(v);
+    for (const SecondaryGuid& v : g.vertices) {
+        const std::size_t in = g.in_degree(v);
+        if (in == 0) ++roots;
         if (in > 1) return GuidGraphPattern::irregular;
-        const auto out_it = g.out.find(v);
-        const auto out = out_it == g.out.end() ? 0 : static_cast<int>(out_it->second.size());
+        const std::size_t out = g.out_degree(v);
         if (out == 0) ++leaves;
         if (out > 1) {
             ++branch_points;
             branch_vertex = v;
         }
     }
-    if (roots.size() != 1) return GuidGraphPattern::irregular;
+    if (roots != 1) return GuidGraphPattern::irregular;
 
     if (branch_points == 0) return GuidGraphPattern::linear_chain;
     if (leaves >= 3 || branch_points >= 2) return GuidGraphPattern::several_branches;
 
-    // Exactly one branch point with two arms: measure arm lengths.
-    const auto& arms = g.out.at(branch_vertex);
-    const int cap = static_cast<int>(g.vertices.size());
-    int shortest = cap;
-    for (const auto& arm : arms)
-        shortest = std::min(shortest, 1 + subtree_depth(g, arm, cap));
-    return shortest <= 1 ? GuidGraphPattern::long_plus_short
-                         : GuidGraphPattern::two_long_branches;
+    // Exactly one branch point. The short branch is an arm of one vertex,
+    // i.e. an arm vertex with no out-edge; checking that needs no walk along
+    // the arms, whose length a trace file does not bound.
+    const auto [first, last] =
+        std::equal_range(g.edges.begin(), g.edges.end(), branch_vertex, ByOlder{});
+    const bool short_arm =
+        std::any_of(first, last, [&](const Edge& arm) { return g.out_degree(arm.second) == 0; });
+    return short_arm ? GuidGraphPattern::long_plus_short : GuidGraphPattern::two_long_branches;
 }
 
 }  // namespace
 
-GuidGraphStats classify_guid_graphs(const trace::TraceLog& log) {
-    // Sharded edge accumulation: each chunk of the login log builds its own
-    // per-GUID graphs; partials merge in chunk order by replaying edges
-    // through add_edge. The merged graph equals the serial one outright —
-    // edge sets and unique-edge in-degrees are insertion-order independent.
-    using GraphMap = std::unordered_map<Guid, Graph>;
-    const auto& logins = log.logins();
-    GraphMap graphs = parallel::parallel_reduce<GraphMap>(
-        logins.size(),
-        [&](GraphMap& p, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const auto& login = logins[i];
-                Graph& g = p[login.guid];
-                // secondary_guids is newest-first; edges run old -> new.
-                const auto& s = login.secondary_guids;
-                for (std::size_t j = 0; j + 1 < s.size(); ++j) {
-                    const SecondaryGuid newer = s[j];
-                    const SecondaryGuid older = s[j + 1];
-                    if (newer.is_nil() || older.is_nil()) continue;
-                    g.add_edge(older, newer);
-                }
-            }
-        },
-        [](GraphMap& a, GraphMap&& b) {
-            for (auto& [guid, g] : b) {
-                Graph& dst = a[guid];
-                for (const auto& [from, succs] : g.out)
-                    for (const auto& to : succs) dst.add_edge(from, to);
-            }
-        });
-
-    // Classification is per-graph and pure; fan the qualifying graphs out
-    // over a snapshot vector (map iteration order, fixed for a given log).
-    std::vector<const Graph*> qualifying;
-    qualifying.reserve(graphs.size());
-    for (const auto& [guid, g] : graphs)
-        if (g.vertices.size() >= 3) qualifying.push_back(&g);  // paper: graphs with >= 3 vertices
-
+GuidGraphStats classify_guid_graphs(const LoginIndex& logins) {
+    // One graph per GUID, built from that GUID's whole login history, so
+    // each chunk of histories classifies its graphs alone and only the
+    // counts merge.
+    const auto histories = logins.history_snapshot();
     return parallel::parallel_reduce<GuidGraphStats>(
-        qualifying.size(),
+        histories.size(),
         [&](GuidGraphStats& p, std::size_t lo, std::size_t hi) {
+            FlatGraph g;
             for (std::size_t i = lo; i < hi; ++i) {
+                g.build(*histories[i]);
+                if (g.vertices.size() < 3) continue;  // paper: graphs with >= 3 vertices
                 ++p.graphs;
-                switch (classify(*qualifying[i])) {
+                switch (classify(g)) {
                     case GuidGraphPattern::linear_chain: ++p.linear_chains; break;
                     case GuidGraphPattern::long_plus_short: ++p.long_plus_short; break;
                     case GuidGraphPattern::two_long_branches: ++p.two_long_branches; break;
@@ -130,6 +124,10 @@ GuidGraphStats classify_guid_graphs(const trace::TraceLog& log) {
             a.several_branches += b.several_branches;
             a.irregular += b.irregular;
         });
+}
+
+GuidGraphStats classify_guid_graphs(const trace::TraceLog& log) {
+    return classify_guid_graphs(LoginIndex(log));
 }
 
 }  // namespace netsession::analysis

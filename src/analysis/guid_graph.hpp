@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "analysis/login_index.hpp"
 #include "trace/trace_log.hpp"
 
 namespace netsession::analysis {
@@ -49,8 +50,11 @@ struct GuidGraphStats {
     }
 };
 
-/// Builds and classifies the per-primary-GUID secondary graphs from the
-/// login log.
+/// Builds and classifies the per-primary-GUID secondary graphs, one per
+/// GUID history of the index.
+[[nodiscard]] GuidGraphStats classify_guid_graphs(const LoginIndex& logins);
+
+/// The same, from the login log (builds the LoginIndex).
 [[nodiscard]] GuidGraphStats classify_guid_graphs(const trace::TraceLog& log);
 
 }  // namespace netsession::analysis

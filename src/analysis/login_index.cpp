@@ -35,6 +35,13 @@ const std::vector<const trace::LoginRecord*>* LoginIndex::history(Guid guid) con
     return it == by_guid_.end() ? nullptr : &it->second;
 }
 
+std::vector<const std::vector<const trace::LoginRecord*>*> LoginIndex::history_snapshot() const {
+    std::vector<const std::vector<const trace::LoginRecord*>*> out;
+    out.reserve(by_guid_.size());
+    for (const auto& [guid, history] : by_guid_) out.push_back(&history);
+    return out;
+}
+
 std::optional<net::GeoRecord> LoginIndex::locate(Guid guid, sim::SimTime time,
                                                  const net::GeoDatabase& geodb) const {
     const trace::LoginRecord* login = at(guid, time);

@@ -32,9 +32,12 @@ public:
     [[nodiscard]] std::optional<net::GeoRecord> locate(Guid guid, sim::SimTime time,
                                                        const net::GeoDatabase& geodb) const;
 
+    /// Every GUID's history, for chunked scans. The order is the index's
+    /// iteration order: fixed for a given log, independent of thread count.
+    [[nodiscard]] std::vector<const std::vector<const trace::LoginRecord*>*> history_snapshot()
+        const;
+
     [[nodiscard]] std::size_t guid_count() const noexcept { return by_guid_.size(); }
-    [[nodiscard]] auto begin() const { return by_guid_.begin(); }
-    [[nodiscard]] auto end() const { return by_guid_.end(); }
 
 private:
     std::unordered_map<Guid, std::vector<const trace::LoginRecord*>> by_guid_;

@@ -18,7 +18,9 @@
 // order (reproducing the serial element order exactly), map/set partials
 // merge in chunk order (a deterministic insertion sequence, hence a
 // deterministic iteration order downstream), and float partial sums add in
-// chunk order (a fixed, n-derived summation tree).
+// chunk order (a fixed, n-derived summation tree). Distinct-id counts, whose
+// order nothing sees, come from flat vectors sorted by parallel_sort instead
+// (overall_stats).
 
 namespace netsession::analysis {
 
@@ -32,15 +34,11 @@ int size_bucket(Bytes size) noexcept {
     return static_cast<int>(kSizeBucketEdges.size());
 }
 
-/// Stable per-GUID view of a LoginIndex for chunked scans. The order is the
-/// index's iteration order — fixed for a given log, independent of thread
-/// count.
-std::vector<const std::vector<const trace::LoginRecord*>*> history_snapshot(
-    const LoginIndex& logins) {
-    std::vector<const std::vector<const trace::LoginRecord*>*> out;
-    out.reserve(logins.guid_count());
-    for (const auto& [guid, history] : logins) out.push_back(&history);
-    return out;
+/// Sorts v, moves its distinct elements to the front and returns their count.
+template <typename T>
+std::size_t distinct_count(std::vector<T>& v) {
+    parallel::parallel_sort(v);
+    return static_cast<std::size_t>(std::unique(v.begin(), v.end()) - v.begin());
 }
 }  // namespace
 
@@ -51,69 +49,54 @@ OverallStats overall_stats(const trace::TraceLog& log, const net::GeoDatabase& g
     s.log_entries = log.total_entries();
     s.downloads_initiated = log.downloads().size();
 
+    // Only the sizes of these id sets leave the function, so each set is a
+    // flat vector counted by sort plus unique; element order is irrelevant.
     const auto& logins = log.logins();
     const auto& downloads = log.downloads();
+    std::vector<Guid> guids;
+    guids.reserve(logins.size() + downloads.size());
+    std::vector<net::IpAddr> ips;
+    ips.reserve(logins.size());
+    for (const auto& login : logins) {
+        guids.push_back(login.guid);
+        ips.push_back(login.ip);
+    }
+    std::vector<std::uint64_t> urls;
+    urls.reserve(downloads.size());
+    for (const auto& download : downloads) {
+        guids.push_back(download.guid);
+        urls.push_back(download.url_hash);
+    }
+    s.guids = distinct_count(guids);
+    s.distinct_urls = distinct_count(urls);
+    s.distinct_ips = distinct_count(ips);
+    ips.resize(s.distinct_ips);
 
-    struct IdSets {
-        std::unordered_set<Guid> guids;
-        std::unordered_set<net::IpAddr> ips;
-        std::unordered_set<std::uint64_t> urls;
+    struct GeoIds {
+        std::vector<std::uint64_t> locations;
+        std::vector<std::uint32_t> ases;
+        std::vector<std::uint16_t> countries;
     };
-    auto login_ids = parallel::parallel_reduce<IdSets>(
-        logins.size(),
-        [&](IdSets& p, std::size_t lo, std::size_t hi) {
+    auto geo_ids = parallel::parallel_reduce<GeoIds>(
+        ips.size(),
+        [&](GeoIds& p, std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
-                p.guids.insert(logins[i].guid);
-                p.ips.insert(logins[i].ip);
-            }
-        },
-        [](IdSets& a, IdSets&& b) {
-            a.guids.merge(b.guids);
-            a.ips.merge(b.ips);
-        });
-    auto download_ids = parallel::parallel_reduce<IdSets>(
-        downloads.size(),
-        [&](IdSets& p, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                p.guids.insert(downloads[i].guid);
-                p.urls.insert(downloads[i].url_hash);
-            }
-        },
-        [](IdSets& a, IdSets&& b) {
-            a.guids.merge(b.guids);
-            a.urls.merge(b.urls);
-        });
-    login_ids.guids.merge(download_ids.guids);
-    s.guids = login_ids.guids.size();
-    s.distinct_urls = download_ids.urls.size();
-    s.distinct_ips = login_ids.ips.size();
-
-    const std::vector<net::IpAddr> ip_list(login_ids.ips.begin(), login_ids.ips.end());
-    struct GeoSets {
-        std::unordered_set<std::uint64_t> locations;
-        std::unordered_set<std::uint32_t> ases;
-        std::unordered_set<std::uint16_t> countries;
-    };
-    const auto geo_sets = parallel::parallel_reduce<GeoSets>(
-        ip_list.size(),
-        [&](GeoSets& p, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const auto geo = geodb.lookup(ip_list[i]);
+                const auto geo = geodb.lookup(ips[i]);
                 if (!geo) continue;
-                p.locations.insert((static_cast<std::uint64_t>(geo->location.country.value) << 32) |
-                                   geo->location.city);
-                p.ases.insert(geo->asn.value);
-                p.countries.insert(geo->location.country.value);
+                p.locations.push_back((static_cast<std::uint64_t>(geo->location.country.value) << 32) |
+                                      geo->location.city);
+                p.ases.push_back(geo->asn.value);
+                p.countries.push_back(geo->location.country.value);
             }
         },
-        [](GeoSets& a, GeoSets&& b) {
-            a.locations.merge(b.locations);
-            a.ases.merge(b.ases);
-            a.countries.merge(b.countries);
+        [](GeoIds& a, GeoIds&& b) {
+            a.locations.insert(a.locations.end(), b.locations.begin(), b.locations.end());
+            a.ases.insert(a.ases.end(), b.ases.begin(), b.ases.end());
+            a.countries.insert(a.countries.end(), b.countries.begin(), b.countries.end());
         });
-    s.distinct_locations = geo_sets.locations.size();
-    s.distinct_ases = geo_sets.ases.size();
-    s.distinct_countries = geo_sets.countries.size();
+    s.distinct_locations = distinct_count(geo_ids.locations);
+    s.distinct_ases = distinct_count(geo_ids.ases);
+    s.distinct_countries = distinct_count(geo_ids.countries);
     return s;
 }
 
@@ -192,7 +175,7 @@ std::map<std::uint32_t, std::array<double, kReportRegions>> downloads_by_region(
 // --- Table 3 -------------------------------------------------------------------
 
 SettingChanges upload_setting_changes(const LoginIndex& logins) {
-    const auto histories = history_snapshot(logins);
+    const auto histories = logins.history_snapshot();
     return parallel::parallel_reduce<SettingChanges>(
         histories.size(),
         [&](SettingChanges& p, std::size_t lo, std::size_t hi) {
@@ -275,7 +258,7 @@ std::map<std::uint32_t, double> upload_enabled_by_provider(const trace::TraceLog
 
 std::vector<CountryPeers> peer_distribution(const LoginIndex& logins,
                                             const net::GeoDatabase& geodb) {
-    const auto histories = history_snapshot(logins);
+    const auto histories = logins.history_snapshot();
     struct CountryCounts {
         std::unordered_map<std::uint16_t, std::int64_t> counts;
         std::int64_t total = 0;
@@ -896,28 +879,32 @@ MobilityStats mobility_stats(const trace::TraceLog& log, const LoginIndex& login
             a.hi = std::max(a.hi, b.hi);
         });
 
-    const auto histories = history_snapshot(logins);
+    const auto histories = logins.history_snapshot();
     struct MobilityPartial {
         std::int64_t guids = 0, single = 0, two = 0, more = 0, within10 = 0;
     };
     const auto agg = parallel::parallel_reduce<MobilityPartial>(
         histories.size(),
         [&](MobilityPartial& p, std::size_t lo, std::size_t hi) {
+            std::vector<std::uint32_t> ases;
+            std::vector<net::GeoPoint> points;
             for (std::size_t g = lo; g < hi; ++g) {
                 const auto& history = *histories[g];
                 if (history.empty()) continue;
                 ++p.guids;
-                std::unordered_set<std::uint32_t> ases;
-                std::vector<net::GeoPoint> points;
+                ases.clear();
+                points.clear();
                 for (const auto* l : history) {
                     const auto geo = geodb.lookup(l->ip);
                     if (!geo) continue;
-                    ases.insert(geo->asn.value);
+                    ases.push_back(geo->asn.value);
                     points.push_back(geo->location.point);
                 }
-                if (ases.size() <= 1)
+                std::sort(ases.begin(), ases.end());
+                const auto distinct_ases = std::unique(ases.begin(), ases.end()) - ases.begin();
+                if (distinct_ases <= 1)
                     ++p.single;
-                else if (ases.size() == 2)
+                else if (distinct_ases == 2)
                     ++p.two;
                 else
                     ++p.more;

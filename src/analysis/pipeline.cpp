@@ -27,7 +27,7 @@ PipelineResult run_full_pipeline(const trace::Dataset& dataset, const net::AsGra
     r.mobility = mobility_stats(log, logins, geodb);
     r.headline = headline_offload(log);
     r.degradation = degradation_stats(log);
-    r.guid_graphs = classify_guid_graphs(log);
+    r.guid_graphs = classify_guid_graphs(logins);
     return r;
 }
 

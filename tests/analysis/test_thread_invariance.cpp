@@ -99,6 +99,18 @@ TEST(ThreadInvariance, PipelineFingerprintIdenticalAcrossThreadCounts) {
     }
 }
 
+TEST(ThreadInvariance, PipelineFingerprintMatchesPinnedValue) {
+    // Every table and figure of synthetic_dataset(), pinned. A refactor of
+    // the analysis code must leave this value alone. Re-pin it only for a
+    // deliberate change of what the pipeline computes, and name that change
+    // in CHANGES.md.
+    constexpr std::uint64_t kPinned = 0x0078b5b8b578cba9ull;
+    ThreadCountGuard guard;
+    parallel::set_thread_count(2);
+    const std::uint64_t fp = analysis::fingerprint(analysis::run_full_pipeline(synthetic_dataset()));
+    EXPECT_EQ(fp, kPinned) << std::hex << "fingerprint 0x" << fp;
+}
+
 TEST(ThreadInvariance, FingerprintDetectsChangedResults) {
     ThreadCountGuard guard;
     parallel::set_thread_count(2);

@@ -66,7 +66,7 @@ run_flavour() {
         # Thread-count invariance smoke: the analysis pipeline must produce
         # byte-identical results whatever NS_THREADS says (docs/PARALLELISM.md).
         echo "==== [$name] thread-invariance focus ===="
-        (cd "$build_dir" && ctest --output-on-failure -R 'ThreadInvariance|Parallel')
+        (cd "$build_dir" && ctest --output-on-failure -R 'ThreadInvariance|Parallel|GuidGraph')
         # Benchmark smoke: perfbench/ compiles ../src into its own build, so
         # an API change in src/ can break the benchmark while every ctest
         # above still passes. Runs each workload tiny and checks its output.
