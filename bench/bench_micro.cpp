@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/guid_graph.hpp"
 #include "analysis/pipeline.hpp"
@@ -290,27 +289,24 @@ void BM_MeasurementPipeline(benchmark::State& state) {
 BENCHMARK(BM_MeasurementPipeline);
 
 void BM_DatasetLoad(benchmark::State& state) {
-    // Cached-dataset load: arg 0 = zero-copy mmap path, arg 1 = buffered
-    // fread fallback (NS_TRACE_NO_MMAP) — the ratio is the headline's
-    // load_speedup.
+    // Cached-dataset load: the fread path every fig/table bench and nstrace
+    // take to read a saved trace.
     const trace::Dataset dataset = synthetic_analysis_dataset(2000, 10);
     const std::string path = "/tmp/bench_dataset_load.nstrace";
     if (!trace::save_dataset(dataset, path)) {
         state.SkipWithError("save_dataset failed");
         return;
     }
-    if (state.range(0) != 0) setenv("NS_TRACE_NO_MMAP", "1", 1);
     for (auto _ : state) {
         trace::Dataset loaded;
         benchmark::DoNotOptimize(trace::load_dataset(loaded, path));
         benchmark::DoNotOptimize(loaded.log.total_entries());
     }
-    unsetenv("NS_TRACE_NO_MMAP");
     std::remove(path.c_str());
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(dataset.log.total_entries()));
 }
-BENCHMARK(BM_DatasetLoad)->Arg(0)->Arg(1);
+BENCHMARK(BM_DatasetLoad);
 
 void BM_TraceSerializeRoundTrip(benchmark::State& state) {
     trace::Dataset dataset;

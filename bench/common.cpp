@@ -31,10 +31,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// The "analysis" headline section: full-pipeline wall clock at the
 /// configured thread count vs forced single-thread (with the fingerprint
-/// equality check that guards the determinism contract), cached-dataset load
-/// time on the mmap path vs the buffered fallback, and the parallel
-/// runtime's counters. This is where the ISSUE's >=3x pipeline / >=2x load
-/// acceptance numbers get recorded.
+/// equality check that guards the determinism contract), the cached-dataset
+/// load time, and the parallel runtime's counters.
 std::string analysis_section_json(const trace::Dataset& dataset, const char* cache_path) {
     const int threads = parallel::thread_count();
 
@@ -50,17 +48,11 @@ std::string analysis_section_json(const trace::Dataset& dataset, const char* cac
     const std::uint64_t serial_fp = analysis::fingerprint(serial_result);
     parallel::set_thread_count(threads);
 
-    double load_mmap_seconds = 0.0;
-    double load_buffered_seconds = 0.0;
+    double load_seconds = 0.0;
     if (cache_path != nullptr) {
         trace::Dataset scratch;
         t0 = std::chrono::steady_clock::now();
-        if (trace::load_dataset(scratch, cache_path)) load_mmap_seconds = seconds_since(t0);
-        setenv("NS_TRACE_NO_MMAP", "1", 1);
-        trace::Dataset scratch2;
-        t0 = std::chrono::steady_clock::now();
-        if (trace::load_dataset(scratch2, cache_path)) load_buffered_seconds = seconds_since(t0);
-        unsetenv("NS_TRACE_NO_MMAP");
+        if (trace::load_dataset(scratch, cache_path)) load_seconds = seconds_since(t0);
     }
 
     const parallel::StatsSnapshot st = parallel::stats();
@@ -74,17 +66,14 @@ std::string analysis_section_json(const trace::Dataset& dataset, const char* cac
         "    \"pipeline_speedup\": %.2f,\n"
         "    \"fingerprint\": \"%016llx\",\n"
         "    \"fingerprint_match\": %s,\n"
-        "    \"load_seconds_mmap\": %.4f,\n"
-        "    \"load_seconds_buffered\": %.4f,\n"
-        "    \"load_speedup\": %.2f,\n"
+        "    \"load_seconds\": %.4f,\n"
         "    \"parallel\": {\"jobs\": %llu, \"inline_jobs\": %llu, \"chunks\": %llu, "
         "\"chunks_stolen\": %llu, \"merges\": %llu}\n"
         "  }",
         threads, pipeline_seconds, serial_seconds,
         pipeline_seconds > 0.0 ? serial_seconds / pipeline_seconds : 0.0,
         static_cast<unsigned long long>(parallel_fp),
-        parallel_fp == serial_fp ? "true" : "false", load_mmap_seconds, load_buffered_seconds,
-        load_mmap_seconds > 0.0 ? load_buffered_seconds / load_mmap_seconds : 0.0,
+        parallel_fp == serial_fp ? "true" : "false", load_seconds,
         static_cast<unsigned long long>(st.jobs), static_cast<unsigned long long>(st.inline_jobs),
         static_cast<unsigned long long>(st.chunks),
         static_cast<unsigned long long>(st.chunks_stolen),

@@ -43,7 +43,7 @@ struct BenchArgs {
 /// perf counters (events dispatched/sec, callback heap allocations, flow
 /// refills and sort-cache hits), the `"analysis"` section (full measurement
 /// pipeline at NS_THREADS vs one thread with a fingerprint-equality check,
-/// mmap vs buffered cache-load times; docs/PARALLELISM.md) and the full
+/// and the cache-load time; docs/PARALLELISM.md) and the full
 /// per-subsystem metric registry (`"metrics"` key, obs::to_json) — so
 /// scenario throughput and subsystem behaviour are tracked as one
 /// machine-readable artefact.

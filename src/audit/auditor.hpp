@@ -29,12 +29,12 @@
 // simulation state — no RNG stream is touched, no relative event ordering
 // changes, no trace record is written — so enabling it cannot change a
 // single trace byte (the determinism contract of docs/SIMULATOR.md §3 holds
-// with auditing on or off). Builds with NS_AUDIT=OFF compile the periodic
-// checks out entirely; the class itself stays available in both flavours so
-// tests can call audit_now() directly. Under NS_AUDIT_FATAL (tests/CI) the
-// first violation prints every collected report and aborts; otherwise
-// violations count into counters() and the run continues (benches, chaos
-// campaigns).
+// with auditing on or off). The periodic sweeps run when
+// AuditConfig::enabled is set, which NS_AUDIT=ON builds default to; in every
+// build a run can enable them itself or call audit_now() directly. Under
+// NS_AUDIT_FATAL (tests/CI) the first violation prints every collected
+// report and aborts; otherwise violations count into counters() and the run
+// continues (benches, chaos campaigns).
 #pragma once
 
 #ifndef NS_AUDIT_ENABLED
@@ -68,9 +68,10 @@ class UserDriver;
 namespace netsession::audit {
 
 struct AuditConfig {
-    /// Whether the periodic auditor runs at all. With NS_AUDIT=OFF builds it
-    /// never starts regardless; audit_now() works in every build.
-    bool enabled = true;
+    /// Whether the periodic auditor runs at all (defaults to the build's
+    /// NS_AUDIT flavour; tests may override per-instance). audit_now() works
+    /// either way.
+    bool enabled = NS_AUDIT_ENABLED != 0;
     /// Audit cadence in simulated time. Six hours keeps a month-long run at
     /// ~120 full sweeps — each sweep is O(hosts + flows + registrations).
     sim::Duration interval = sim::hours(6.0);

@@ -72,7 +72,6 @@ TorrentPeer::~TorrentPeer() {
 
 void TorrentPeer::start() {
     active_ = true;
-    joined_at_ = swarm_->world().simulator().now();
     connect_to_more();
     const std::uint32_t epoch = epoch_;
     choke_timer_ = swarm_->world().simulator().schedule_after(

@@ -60,7 +60,6 @@ public:
     [[nodiscard]] const TorrentConfig& config() const noexcept { return config_; }
     [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
-    [[nodiscard]] std::size_t peer_count() const noexcept { return peers_.size(); }
     [[nodiscard]] int seeds() const;
 
 private:
@@ -83,9 +82,7 @@ public:
     [[nodiscard]] bool seeding() const noexcept { return seed_; }
     [[nodiscard]] Bytes downloaded() const noexcept { return downloaded_; }
     [[nodiscard]] Bytes uploaded() const noexcept { return uploaded_; }
-    [[nodiscard]] sim::SimTime joined_at() const noexcept { return joined_at_; }
     [[nodiscard]] std::optional<sim::SimTime> finished_at() const noexcept { return finished_at_; }
-    [[nodiscard]] int connection_count() const noexcept { return static_cast<int>(conns_.size()); }
     [[nodiscard]] const swarm::PieceMap& have() const noexcept { return have_; }
 
     /// Starts participation: tracker announce, connections, choke timer.
@@ -130,7 +127,6 @@ private:
     std::vector<Conn> conns_;
     Bytes downloaded_ = 0;
     Bytes uploaded_ = 0;
-    sim::SimTime joined_at_{};
     std::optional<sim::SimTime> finished_at_;
     std::function<void(TorrentPeer&)> on_complete_;
     Rng rng_;

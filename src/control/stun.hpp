@@ -42,14 +42,12 @@ public:
     [[nodiscard]] bool online() const noexcept { return online_; }
 
     [[nodiscard]] std::int64_t probes_served() const noexcept { return probes_; }
-    [[nodiscard]] std::int64_t probes_lost() const noexcept { return probes_lost_; }
 
 private:
     net::World* world_;
     HostId host_;
     bool online_ = true;
     std::int64_t probes_ = 0;
-    std::int64_t probes_lost_ = 0;
 };
 
 }  // namespace netsession::control

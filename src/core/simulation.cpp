@@ -101,14 +101,10 @@ void Simulation::run() {
     const sim::SimTime window_end =
         sim::SimTime{} + config_.behavior.warmup + config_.behavior.window;
     sampler_->start(window_end);
-#if NS_AUDIT_ENABLED
     auditor_->start(window_end);
-#endif
     driver_->run();
     sampler_->finish();
-#if NS_AUDIT_ENABLED
     auditor_->finish();
-#endif
 }
 
 fault::CampaignContext Simulation::campaign_context() const {

@@ -72,8 +72,9 @@ struct SimulationConfig {
     std::vector<fault::CampaignSpec> campaigns;
 
     /// Runtime invariant auditor cadence (src/audit/). Periodic sweeps run
-    /// only in NS_AUDIT=ON builds; audit_now() works in every build. The
-    /// auditor is read-only, so this cannot change trace bytes.
+    /// when `audit.enabled` is set (the NS_AUDIT=ON default); audit_now()
+    /// works in every build. The auditor is read-only, so this cannot change
+    /// trace bytes.
     audit::AuditConfig audit;
 
     /// Cadence of the domain-metric samples in the trace (format v6). The
@@ -115,7 +116,7 @@ public:
     /// The trace sampler (never null after construction).
     [[nodiscard]] obs::Sampler& sampler() noexcept { return *sampler_; }
     /// The invariant auditor (never null after construction; periodic sweeps
-    /// only run in NS_AUDIT=ON builds, but audit_now() works everywhere).
+    /// run when config().audit.enabled is set; audit_now() works anytime).
     [[nodiscard]] audit::Auditor& auditor() noexcept { return *auditor_; }
 
     // --- results -----------------------------------------------------------

@@ -357,7 +357,7 @@ void FlowNetwork::apply_rate(std::uint32_t slot) {
     if (r < 0.0) r = 0.0;
     const double old = f.rate;
     const double diff = std::fabs(r - old);
-    if (diff <= epsilon_ * std::max(old, r) && f.completion.valid()) return;
+    if (diff <= kEpsilon * std::max(old, r) && f.completion.valid()) return;
     settle(slot);
     f.rate = r;
     reschedule(slot);

@@ -132,9 +132,6 @@ public:
         }
     }
 
-    /// Relative rate change below which updates do not propagate.
-    void set_epsilon(double eps) noexcept { epsilon_ = eps; }
-
     [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
     /// Flow-slab storage accounting (never sampled into the trace).
@@ -145,6 +142,8 @@ private:
     static constexpr std::uint32_t kDeadSlot = 0xFFFFFFFFu;
     /// Sort-cache epoch meaning "no cached order".
     static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+    /// Relative rate change below which updates do not propagate.
+    static constexpr double kEpsilon = 0.02;
 
     /// One side's adjacency: flow slots in insertion order, with O(1)
     /// tombstone removal (flows remember their position) and amortised
@@ -225,7 +224,6 @@ private:
     // Scratch buffer for water-filling (avoid per-call allocation).
     std::vector<std::pair<double, std::uint32_t>> fill_scratch_;
     bool processing_ = false;
-    double epsilon_ = 0.02;
     Bytes total_delivered_ = 0;
     Stats stats_;
 };

@@ -63,11 +63,6 @@ void World::set_host_up_capacity(HostId h, Rate up) {
     apply_capacity(h);
 }
 
-void World::set_host_down_capacity(HostId h, Rate down) {
-    hosts_[h.value].down = down;
-    apply_capacity(h);
-}
-
 void World::apply_capacity(HostId h) {
     const HostInfo& info = hosts_[h.value];
     double factor = 1.0;

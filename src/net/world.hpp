@@ -76,7 +76,6 @@ public:
     /// any active AS degradation factor on top, so fault restore does not
     /// clobber throttling (and vice versa).
     void set_host_up_capacity(HostId h, Rate up);
-    void set_host_down_capacity(HostId h, Rate down);
 
     // --- Fault hooks (driven by fault::FaultEngine; no-cost when unused) ---
 

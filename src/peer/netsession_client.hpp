@@ -38,12 +38,6 @@ namespace netsession::peer {
 
 class NetSessionClient final : public control::PeerEndpoint {
 public:
-    /// Per-download types live in peer/download_state.hpp (the state itself
-    /// is pool-allocated via PeerRegistry::downloads()); aliases keep the
-    /// historical nested names working.
-    using DownloadCallback = peer::DownloadCallback;
-    using DownloadOptions = peer::DownloadOptions;
-
     NetSessionClient(net::World& world, control::ControlPlane& plane, edge::EdgeNetwork& edges,
                      const edge::Catalog& catalog, PeerRegistry& registry, Guid guid, HostId host,
                      ClientConfig config, Rng rng);
@@ -187,9 +181,6 @@ public:
     [[nodiscard]] bool corrupt_uploads() const noexcept { return corrupt_uploads_; }
 
     [[nodiscard]] Bytes uploaded_bytes() const noexcept { return uploaded_bytes_; }
-    [[nodiscard]] int active_upload_connections() const noexcept {
-        return res_ == nullptr ? 0 : static_cast<int>(res_->upload_conns.size());
-    }
 
     /// Terminal flush at the end of a measurement window: emits records for
     /// never-finished downloads (outcome aborted_by_user for paused ones,

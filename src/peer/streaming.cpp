@@ -22,7 +22,7 @@ void StreamingSession::start() {
     stalled_ = true;  // "stalled" until the startup buffer fills
     stall_start_ = session_start_;
 
-    NetSessionClient::DownloadOptions options;
+    DownloadOptions options;
     options.sequential = true;
     options.on_piece = [this](swarm::PieceIndex piece) { on_piece(piece); };
     client_->begin_download(

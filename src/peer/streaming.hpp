@@ -51,7 +51,6 @@ public:
 
     [[nodiscard]] const StreamingMetrics& metrics() const noexcept { return metrics_; }
     [[nodiscard]] bool playing() const noexcept { return playing_; }
-    [[nodiscard]] swarm::PieceIndex play_head() const noexcept { return play_head_; }
     /// Seconds of media one piece carries at the configured bitrate.
     [[nodiscard]] double piece_duration_s(swarm::PieceIndex piece) const;
 

@@ -1,19 +1,12 @@
 #include "trace/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NS_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "net/world_data.hpp"
 
 namespace netsession::trace {
 
@@ -27,8 +20,8 @@ constexpr std::uint64_t kMagic = 0x4E53545243455231ULL;  // "NSTRCE" v1
 // v6: sampled-metrics section — a metric-name table plus the obs sampler's
 // time-series points (observability layer, docs/OBSERVABILITY.md).
 // v7: POD record payloads start on 64-byte-aligned file offsets (zero
-// padding), so a memory-mapped file can serve record sections in place as
-// TraceLog views with no alignment UB and no deserialisation copy.
+// padding). The reader skips the padding; the layout is kept so every v8
+// file ever written still loads.
 // v8: fault-timeline section — the FaultEngine's onset/restore records,
 // which recovery analysis pairs into per-fault time-to-recover (chaos
 // campaigns, docs/ROBUSTNESS.md).
@@ -79,10 +72,10 @@ private:
 };
 
 template <typename T>
-void write_section(Writer& w, const T* data, std::uint64_t n) {
-    w.pod(n);
+void write_section(Writer& w, const std::vector<T>& v) {
+    w.pod(static_cast<std::uint64_t>(v.size()));
     w.align();
-    w.bytes(data, static_cast<std::size_t>(n) * sizeof(T));
+    w.bytes(v.data(), v.size() * sizeof(T));
 }
 
 void write_strings(Writer& w, const std::vector<std::string>& v) {
@@ -93,74 +86,66 @@ void write_strings(Writer& w, const std::vector<std::string>& v) {
     }
 }
 
-/// Bounds-checked parser over an in-memory image of the file (a mapping or a
-/// buffered read — the format is identical). Scalar header fields are
-/// memcpy'd (they sit at unaligned offsets); record arrays are handed out as
-/// pointers into the image, which v7 guarantees are kSectionAlign-aligned
-/// relative to the image base.
-class Cursor {
+/// Streaming reader, the mirror of Writer: tracks the absolute file offset
+/// (to skip the writer's alignment padding) against the file size measured
+/// at open, so every count is checked against the bytes left before anything
+/// is allocated for it. Record sections are fread straight into their vectors.
+class Reader {
 public:
-    Cursor(const unsigned char* base, std::size_t size) noexcept : base_(base), size_(size) {}
+    Reader(std::FILE* f, std::uint64_t size) noexcept : f_(f), size_(size) {}
 
     template <typename T>
-    [[nodiscard]] bool pod(T& v) noexcept {
-        if (sizeof(T) > size_ - off_) return false;
-        std::memcpy(&v, base_ + off_, sizeof(T));
-        off_ += sizeof(T);
+    [[nodiscard]] bool pod(T& v) {
+        return bytes(&v, sizeof(T));
+    }
+
+    [[nodiscard]] bool bytes(void* p, std::uint64_t n) {
+        if (n > remaining()) return false;
+        if (n != 0 && std::fread(p, 1, static_cast<std::size_t>(n), f_) != n) return false;
+        offset_ += n;
         return true;
     }
 
-    [[nodiscard]] bool align() noexcept {
-        const std::size_t rem = off_ % kSectionAlign;
-        if (rem == 0) return true;
-        const std::size_t skip = kSectionAlign - rem;
-        if (skip > size_ - off_) return false;
-        off_ += skip;
-        return true;
+    /// Skips the zero padding up to the next kSectionAlign boundary.
+    [[nodiscard]] bool align() {
+        unsigned char pad[kSectionAlign] = {};
+        const std::uint64_t rem = offset_ % kSectionAlign;
+        return rem == 0 || bytes(pad, kSectionAlign - rem);
     }
 
-    /// Returns a pointer to `n` in-place records, or nullptr on overrun.
+    /// Reads `n` records into `out`; rejects a count the file cannot hold.
     template <typename T>
-    [[nodiscard]] const T* array(std::uint64_t n) noexcept {
-        if (n > (size_ - off_) / sizeof(T)) return nullptr;
-        const T* p = reinterpret_cast<const T*>(base_ + off_);
-        off_ += static_cast<std::size_t>(n) * sizeof(T);
-        return p;
+    [[nodiscard]] bool array(std::uint64_t n, std::vector<T>& out) {
+        if (n > remaining() / sizeof(T)) return false;
+        out.resize(static_cast<std::size_t>(n));
+        return bytes(out.data(), n * sizeof(T));
     }
 
-    [[nodiscard]] std::size_t remaining() const noexcept { return size_ - off_; }
-    [[nodiscard]] bool exhausted() const noexcept { return off_ == size_; }
+    [[nodiscard]] std::uint64_t remaining() const noexcept { return size_ - offset_; }
+    [[nodiscard]] bool exhausted() const noexcept { return offset_ == size_; }
 
 private:
-    const unsigned char* base_;
-    std::size_t size_;
-    std::size_t off_ = 0;
+    std::FILE* f_;
+    std::uint64_t size_;
+    std::uint64_t offset_ = 0;
 };
 
 template <typename T>
-[[nodiscard]] bool read_section(Cursor& c, const std::shared_ptr<const void>& keepalive,
-                                Records<T>& out) {
+[[nodiscard]] bool read_section(Reader& r, std::vector<T>& out) {
     std::uint64_t n = 0;
-    if (!c.pod(n) || !c.align()) return false;
-    const T* p = c.array<T>(n);
-    if (p == nullptr) return false;
-    out.assign_view(p, static_cast<std::size_t>(n), keepalive);
-    return true;
+    return r.pod(n) && r.align() && r.array(n, out);
 }
 
-[[nodiscard]] bool read_strings(Cursor& c, std::vector<std::string>& v) {
+[[nodiscard]] bool read_strings(Reader& r, std::vector<std::string>& v) {
     std::uint64_t n = 0;
-    if (!c.pod(n)) return false;
-    v.clear();
-    // Every entry costs at least its 8-byte length prefix; capping the
-    // reserve by that keeps a corrupt count from triggering a huge
-    // allocation before the per-entry bounds checks reject the file.
-    v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, c.remaining() / 8)));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    // Every entry costs at least its 8-byte length prefix.
+    if (!r.pod(n) || n > r.remaining() / sizeof(std::uint64_t)) return false;
+    v.resize(static_cast<std::size_t>(n));
+    for (std::string& s : v) {
         std::uint64_t len = 0;
-        if (!c.pod(len) || len > c.remaining()) return false;
-        const char* p = reinterpret_cast<const char*>(c.array<unsigned char>(len));
-        v.emplace_back(p, static_cast<std::size_t>(len));
+        if (!r.pod(len) || len > r.remaining()) return false;
+        s.resize(static_cast<std::size_t>(len));
+        if (!r.bytes(s.data(), len)) return false;
     }
     return true;
 }
@@ -202,96 +187,49 @@ static_assert(sizeof(MetricPointRecord) ==
 static_assert(std::is_trivially_copyable_v<FaultRecord>);
 static_assert(sizeof(FaultRecord) == sizeof(sim::SimTime) + sizeof(double) +
                                          sizeof(std::uint32_t) + sizeof(std::uint16_t) + 10);
-// The zero-copy path reinterprets image bytes at kSectionAlign boundaries;
-// no record may demand stricter alignment than the format provides.
-static_assert(alignof(DownloadRecord) <= kSectionAlign);
-static_assert(alignof(LoginRecord) <= kSectionAlign);
-static_assert(alignof(TransferRecord) <= kSectionAlign);
-static_assert(alignof(DnRegistrationRecord) <= kSectionAlign);
-static_assert(alignof(DegradationRecord) <= kSectionAlign);
-static_assert(alignof(FaultRecord) <= kSectionAlign);
-static_assert(alignof(MetricPointRecord) <= kSectionAlign);
-static_assert(alignof(GeoEntry) <= kSectionAlign);
 
-/// Parses a complete file image into `out` (sections become views backed by
-/// `keepalive`). Returns false — leaving `out` in an unspecified but safe
-/// state — on any structural problem; load_dataset() only swaps `out` into
-/// the caller's Dataset on success.
-bool parse_dataset(const std::shared_ptr<const void>& keepalive, const unsigned char* base,
-                   std::size_t size, Dataset& out) {
-    Cursor c(base, size);
+/// Parses a whole file into `out`. Returns false — leaving `out` in an
+/// unspecified but safe state — on any structural problem or out-of-domain
+/// index; load_dataset() only swaps `out` into the caller's Dataset on
+/// success.
+bool parse_dataset(Reader& r, Dataset& out) {
     std::uint64_t magic = 0;
     std::uint32_t version = 0;
-    if (!c.pod(magic) || !c.pod(version)) return false;
+    if (!r.pod(magic) || !r.pod(version)) return false;
     if (magic != kMagic || version != kVersion) return false;
 
     TraceLog& log = out.log;
-    if (!read_section(c, keepalive, log.downloads())) return false;
-    if (!read_section(c, keepalive, log.logins())) return false;
-    if (!read_section(c, keepalive, log.transfers())) return false;
-    if (!read_section(c, keepalive, log.registrations())) return false;
-    if (!read_section(c, keepalive, log.degradations())) return false;
-    if (!read_section(c, keepalive, log.fault_events())) return false;
+    if (!read_section(r, log.downloads())) return false;
+    if (!read_section(r, log.logins())) return false;
+    if (!read_section(r, log.transfers())) return false;
+    if (!read_section(r, log.registrations())) return false;
+    if (!read_section(r, log.degradations())) return false;
+    if (!read_section(r, log.fault_events())) return false;
     std::vector<std::string> metric_names;
-    if (!read_strings(c, metric_names)) return false;
-    if (!read_section(c, keepalive, log.metric_points())) return false;
-    for (const auto& r : log.metric_points())
-        if (r.metric >= metric_names.size()) return false;  // corrupt name table
+    if (!read_strings(r, metric_names)) return false;
+    if (!read_section(r, log.metric_points())) return false;
+    for (const auto& p : log.metric_points())
+        if (p.metric >= metric_names.size()) return false;  // corrupt name table
     log.set_metric_names(std::move(metric_names));
 
-    std::uint64_t n_geo = 0;
-    if (!c.pod(n_geo) || !c.align()) return false;
-    const GeoEntry* geo = c.array<GeoEntry>(n_geo);
-    if (geo == nullptr) return false;
-    out.geodb.reserve(static_cast<std::size_t>(n_geo));
-    for (std::uint64_t i = 0; i < n_geo; ++i) {
-        const GeoEntry& e = geo[i];
+    std::vector<GeoEntry> geo;
+    if (!read_section(r, geo)) return false;
+    const std::size_t n_countries = net::countries().size();
+    out.geodb.reserve(geo.size());
+    for (const GeoEntry& e : geo) {
+        // The analysis indexes the static country table with this id.
+        if (e.country >= n_countries) return false;
         net::GeoRecord rec;
         rec.location = net::Location{CountryId{e.country}, e.city, net::GeoPoint{e.lat, e.lon}};
         rec.asn = Asn{e.asn};
         out.geodb.register_ip(net::IpAddr{e.ip}, rec);
     }
-    return c.exhausted();  // trailing garbage means a corrupt or foreign file
+    return r.exhausted();  // trailing garbage means a corrupt or foreign file
 }
-
-#ifdef NS_TRACE_HAVE_MMAP
-/// Read-only whole-file mapping; Records views keep it alive via shared_ptr.
-class MappedFile {
-public:
-    static std::shared_ptr<MappedFile> open(const std::string& path) {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0) return nullptr;
-        struct ::stat st {};
-        if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-            ::close(fd);
-            return nullptr;
-        }
-        const auto size = static_cast<std::size_t>(st.st_size);
-        void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd);  // the mapping keeps its own reference
-        if (p == MAP_FAILED) return nullptr;
-        return std::shared_ptr<MappedFile>(new MappedFile(p, size));
-    }
-
-    ~MappedFile() { ::munmap(p_, size_); }
-    MappedFile(const MappedFile&) = delete;
-    MappedFile& operator=(const MappedFile&) = delete;
-
-    [[nodiscard]] const unsigned char* data() const noexcept {
-        return static_cast<const unsigned char*>(p_);
-    }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-private:
-    MappedFile(void* p, std::size_t size) noexcept : p_(p), size_(size) {}
-    void* p_;
-    std::size_t size_;
-};
-#endif  // NS_TRACE_HAVE_MMAP
 
 }  // namespace
 
-bool save_dataset(const Dataset& dataset, const std::string& path) {
+bool save_dataset(const TraceLog& log, const net::GeoDatabase& geodb, const std::string& path) {
     // Write to a sibling temp file and rename into place only after every
     // write (including fclose) succeeded: a crash or full disk mid-save can
     // never leave a truncated file under the real name, so the bench cache
@@ -304,19 +242,20 @@ bool save_dataset(const Dataset& dataset, const std::string& path) {
         Writer w(f.get());
         w.pod(kMagic);
         w.pod(kVersion);
-        const TraceLog& log = dataset.log;
-        write_section(w, log.downloads().data(), log.downloads().size());
-        write_section(w, log.logins().data(), log.logins().size());
-        write_section(w, log.transfers().data(), log.transfers().size());
-        write_section(w, log.registrations().data(), log.registrations().size());
-        write_section(w, log.degradations().data(), log.degradations().size());
-        write_section(w, log.fault_events().data(), log.fault_events().size());
+        write_section(w, log.downloads());
+        write_section(w, log.logins());
+        write_section(w, log.transfers());
+        write_section(w, log.registrations());
+        write_section(w, log.degradations());
+        write_section(w, log.fault_events());
         write_strings(w, log.metric_names());
-        write_section(w, log.metric_points().data(), log.metric_points().size());
+        write_section(w, log.metric_points());
 
+        // IP order: the hash map's iteration order depends on its insertion
+        // history, which must not leak into the file's bytes.
         std::vector<GeoEntry> geo;
-        geo.reserve(dataset.geodb.size());
-        dataset.geodb.for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
+        geo.reserve(geodb.size());
+        geodb.for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
             GeoEntry e;
             e.ip = ip.value;
             e.country = rec.location.country.value;
@@ -326,7 +265,9 @@ bool save_dataset(const Dataset& dataset, const std::string& path) {
             e.asn = rec.asn.value;
             geo.push_back(e);
         });
-        write_section(w, geo.data(), geo.size());
+        std::sort(geo.begin(), geo.end(),
+                  [](const GeoEntry& a, const GeoEntry& b) { return a.ip < b.ip; });
+        write_section(w, geo);
 
         ok = w.ok() && std::fflush(f.get()) == 0 && std::ferror(f.get()) == 0;
         std::FILE* raw = f.release();
@@ -340,32 +281,16 @@ bool save_dataset(const Dataset& dataset, const std::string& path) {
 }
 
 bool load_dataset(Dataset& dataset, const std::string& path) {
-    // Assemble into a local Dataset and swap on success: a truncated or
-    // corrupt file must not leave the caller's dataset partially populated.
-    Dataset loaded;
-#ifdef NS_TRACE_HAVE_MMAP
-    // NS_TRACE_NO_MMAP=1 forces the buffered path (tests, A/B measurement).
-    if (std::getenv("NS_TRACE_NO_MMAP") == nullptr) {
-        if (auto map = MappedFile::open(path)) {
-            const unsigned char* base = map->data();
-            const std::size_t size = map->size();
-            if (!parse_dataset(map, base, size, loaded)) return false;
-            dataset = std::move(loaded);
-            return true;
-        }
-        // fall through: mmap can fail on exotic filesystems; buffered read
-        // accepts the identical format
-    }
-#endif
     File f(std::fopen(path.c_str(), "rb"));
     if (!f) return false;
     if (std::fseek(f.get(), 0, SEEK_END) != 0) return false;
-    const long end = std::ftell(f.get());
-    if (end <= 0 || std::fseek(f.get(), 0, SEEK_SET) != 0) return false;
-    const auto size = static_cast<std::size_t>(end);
-    auto buf = std::make_shared<std::vector<unsigned char>>(size);
-    if (std::fread(buf->data(), 1, size, f.get()) != size) return false;
-    if (!parse_dataset(buf, buf->data(), size, loaded)) return false;
+    const long size = std::ftell(f.get());
+    if (size < 0 || std::fseek(f.get(), 0, SEEK_SET) != 0) return false;
+    // Assemble into a local Dataset and swap on success: a truncated or
+    // corrupt file must not leave the caller's dataset partially populated.
+    Reader r(f.get(), static_cast<std::uint64_t>(size));
+    Dataset loaded;
+    if (!parse_dataset(r, loaded)) return false;
     dataset = std::move(loaded);
     return true;
 }

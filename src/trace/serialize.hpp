@@ -4,10 +4,12 @@
 // for offline analysis).
 //
 // Format: little-endian host dump with a magic/version header; intended for
-// same-machine round trips, not as an interchange format. Since v7 every POD
-// record section starts on a 64-byte-aligned file offset, so load_dataset can
-// memory-map the file and hand the record arrays to TraceLog as zero-copy
-// views (NS_TRACE_NO_MMAP=1 forces the buffered fallback, same format).
+// same-machine round trips, not as an interchange format. Every POD record
+// section starts on a 64-byte-aligned file offset (v7); the geo table is
+// written in ascending IP order, so a save is a pure function of the data
+// set. load_dataset reads the file once with fread, checking every count
+// against the bytes left before allocating for it, so a truncated or
+// inflated section fails the load instead of over-reading or over-allocating.
 #pragma once
 
 #include <string>
@@ -23,16 +25,23 @@ struct Dataset {
     net::GeoDatabase geodb;
 };
 
-/// Writes the data set atomically: the bytes go to `path + ".tmp"` and are
-/// renamed over `path` only once every write (and the close) succeeded, so a
-/// crash or full disk can never leave a truncated file under the real name.
-/// Returns false on I/O failure (the temp file is removed).
-bool save_dataset(const Dataset& dataset, const std::string& path);
+/// Writes the log and its geo database atomically: the bytes go to
+/// `path + ".tmp"` and are renamed over `path` only once every write (and the
+/// close) succeeded, so a crash or full disk can never leave a truncated file
+/// under the real name. Returns false on I/O failure (the temp file is
+/// removed). Takes the parts by reference so a Simulation's own trace and
+/// geodb can be saved without copying them into a Dataset.
+bool save_dataset(const TraceLog& log, const net::GeoDatabase& geodb, const std::string& path);
+
+inline bool save_dataset(const Dataset& dataset, const std::string& path) {
+    return save_dataset(dataset.log, dataset.geodb, path);
+}
 
 /// Reads a data set previously written by save_dataset; returns false on
-/// I/O failure, bad magic, version mismatch, or a truncated/corrupt file —
-/// in which case `dataset` is left exactly as the caller passed it (the file
-/// is parsed into a local Dataset and swapped in only on success).
+/// I/O failure, bad magic, version mismatch, a truncated/corrupt file, or an
+/// index outside its table (metric id, geo country) — in which case
+/// `dataset` is left exactly as the caller passed it (the file is parsed
+/// into a local Dataset and swapped in only on success).
 bool load_dataset(Dataset& dataset, const std::string& path);
 
 }  // namespace netsession::trace

@@ -4,106 +4,19 @@
 // sampler's periodic registry snapshots) plus the metric-name table the
 // points index into.
 //
-// Each record section is a Records<T>: either ordinary owned storage (the
-// simulator's append path) or a zero-copy view into a memory-mapped dataset
-// file (trace/serialize.cpp's load path, format v7). Views are read-only;
-// the first mutating access materializes the view into owned storage, so
-// writers (the anonymizer, tests) work unchanged while the ~25 fig/table
-// benches that only read never pay a deserialization copy.
+// Each record section is a plain std::vector of POD records: the simulator
+// appends to it, trace/serialize.cpp reads a saved file straight into it, and
+// writers (the anonymizer, tests) mutate it like any other vector.
 #pragma once
 
 #include <cassert>
-#include <cstring>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/records.hpp"
 
 namespace netsession::trace {
-
-/// One record section: an owned vector or a borrowed view over POD records
-/// (backed by `keepalive`, typically a shared memory mapping). Read access
-/// is uniform; mutation materializes views first (copy-on-write).
-template <typename T>
-class Records {
-public:
-    using value_type = T;
-
-    Records() = default;
-
-    // --- read access (owned or view mode) -----------------------------------
-    [[nodiscard]] const T* data() const noexcept {
-        return view_data_ != nullptr ? view_data_ : owned_.data();
-    }
-    [[nodiscard]] std::size_t size() const noexcept {
-        return view_data_ != nullptr ? view_size_ : owned_.size();
-    }
-    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-    [[nodiscard]] const T* begin() const noexcept { return data(); }
-    [[nodiscard]] const T* end() const noexcept { return data() + size(); }
-    [[nodiscard]] const T& operator[](std::size_t i) const noexcept { return data()[i]; }
-    [[nodiscard]] const T& front() const noexcept { return data()[0]; }
-    [[nodiscard]] const T& back() const noexcept { return data()[size() - 1]; }
-
-    // --- mutation (materializes a view into owned storage first) -------------
-    [[nodiscard]] T* begin() {
-        materialize();
-        return owned_.data();
-    }
-    [[nodiscard]] T* end() {
-        materialize();
-        return owned_.data() + owned_.size();
-    }
-    [[nodiscard]] T& front() {
-        materialize();
-        return owned_.front();
-    }
-    [[nodiscard]] T& back() {
-        materialize();
-        return owned_.back();
-    }
-    void push_back(const T& r) {
-        materialize();
-        owned_.push_back(r);
-    }
-    void clear() noexcept {
-        owned_.clear();
-        drop_view();
-    }
-    /// Bulk-replaces the contents (the deserializer's fread fallback path).
-    void assign(std::vector<T>&& v) noexcept {
-        owned_ = std::move(v);
-        drop_view();
-    }
-    /// Borrows `n` records at `p`, keeping `keepalive` alive as long as the
-    /// view is in use (the zero-copy mmap path). `p` must be suitably
-    /// aligned for T.
-    void assign_view(const T* p, std::size_t n, std::shared_ptr<const void> keepalive) noexcept {
-        owned_.clear();
-        view_data_ = p;
-        view_size_ = n;
-        keepalive_ = std::move(keepalive);
-    }
-    [[nodiscard]] bool is_view() const noexcept { return view_data_ != nullptr; }
-
-private:
-    void materialize() {
-        if (view_data_ == nullptr) return;
-        owned_.assign(view_data_, view_data_ + view_size_);
-        drop_view();
-    }
-    void drop_view() noexcept {
-        view_data_ = nullptr;
-        view_size_ = 0;
-        keepalive_.reset();
-    }
-
-    std::vector<T> owned_;
-    const T* view_data_ = nullptr;
-    std::size_t view_size_ = 0;
-    std::shared_ptr<const void> keepalive_;
-};
 
 class TraceLog {
 public:
@@ -118,26 +31,30 @@ public:
         metric_points_.push_back(r);
     }
 
-    [[nodiscard]] const Records<DownloadRecord>& downloads() const noexcept { return downloads_; }
-    [[nodiscard]] Records<DownloadRecord>& downloads() noexcept { return downloads_; }
-    [[nodiscard]] const Records<LoginRecord>& logins() const noexcept { return logins_; }
-    [[nodiscard]] Records<LoginRecord>& logins() noexcept { return logins_; }
-    [[nodiscard]] const Records<TransferRecord>& transfers() const noexcept { return transfers_; }
-    [[nodiscard]] Records<TransferRecord>& transfers() noexcept { return transfers_; }
-    [[nodiscard]] const Records<DnRegistrationRecord>& registrations() const noexcept {
+    [[nodiscard]] const std::vector<DownloadRecord>& downloads() const noexcept {
+        return downloads_;
+    }
+    [[nodiscard]] std::vector<DownloadRecord>& downloads() noexcept { return downloads_; }
+    [[nodiscard]] const std::vector<LoginRecord>& logins() const noexcept { return logins_; }
+    [[nodiscard]] std::vector<LoginRecord>& logins() noexcept { return logins_; }
+    [[nodiscard]] const std::vector<TransferRecord>& transfers() const noexcept {
+        return transfers_;
+    }
+    [[nodiscard]] std::vector<TransferRecord>& transfers() noexcept { return transfers_; }
+    [[nodiscard]] const std::vector<DnRegistrationRecord>& registrations() const noexcept {
         return registrations_;
     }
-    [[nodiscard]] Records<DnRegistrationRecord>& registrations() noexcept {
+    [[nodiscard]] std::vector<DnRegistrationRecord>& registrations() noexcept {
         return registrations_;
     }
-    [[nodiscard]] const Records<DegradationRecord>& degradations() const noexcept {
+    [[nodiscard]] const std::vector<DegradationRecord>& degradations() const noexcept {
         return degradations_;
     }
-    [[nodiscard]] Records<DegradationRecord>& degradations() noexcept { return degradations_; }
-    [[nodiscard]] const Records<FaultRecord>& fault_events() const noexcept {
+    [[nodiscard]] std::vector<DegradationRecord>& degradations() noexcept { return degradations_; }
+    [[nodiscard]] const std::vector<FaultRecord>& fault_events() const noexcept {
         return fault_events_;
     }
-    [[nodiscard]] Records<FaultRecord>& fault_events() noexcept { return fault_events_; }
+    [[nodiscard]] std::vector<FaultRecord>& fault_events() noexcept { return fault_events_; }
 
     // --- metrics time series (format v6) ------------------------------------
     /// Interns a metric series name, returning its stable id. Ids are
@@ -152,10 +69,12 @@ public:
     [[nodiscard]] const std::vector<std::string>& metric_names() const noexcept {
         return metric_names_;
     }
-    [[nodiscard]] const Records<MetricPointRecord>& metric_points() const noexcept {
+    [[nodiscard]] const std::vector<MetricPointRecord>& metric_points() const noexcept {
         return metric_points_;
     }
-    [[nodiscard]] Records<MetricPointRecord>& metric_points() noexcept { return metric_points_; }
+    [[nodiscard]] std::vector<MetricPointRecord>& metric_points() noexcept {
+        return metric_points_;
+    }
     /// Restores a loaded name table (trace/serialize only).
     void set_metric_names(std::vector<std::string> names) { metric_names_ = std::move(names); }
 
@@ -188,14 +107,14 @@ public:
     std::size_t write_downloads_tsv(const std::string& path) const;
 
 private:
-    Records<DownloadRecord> downloads_;
-    Records<LoginRecord> logins_;
-    Records<TransferRecord> transfers_;
-    Records<DnRegistrationRecord> registrations_;
-    Records<DegradationRecord> degradations_;
-    Records<FaultRecord> fault_events_;
+    std::vector<DownloadRecord> downloads_;
+    std::vector<LoginRecord> logins_;
+    std::vector<TransferRecord> transfers_;
+    std::vector<DnRegistrationRecord> registrations_;
+    std::vector<DegradationRecord> degradations_;
+    std::vector<FaultRecord> fault_events_;
     std::vector<std::string> metric_names_;
-    Records<MetricPointRecord> metric_points_;
+    std::vector<MetricPointRecord> metric_points_;
 };
 
 }  // namespace netsession::trace

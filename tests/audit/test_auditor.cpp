@@ -109,10 +109,9 @@ TEST(Auditor, CountersAccountForEverySweep) {
 TEST(Auditor, EnablingAuditorDoesNotChangeTraceBytes) {
     // Passivity: the same scenario serialized with the periodic auditor on
     // and off must produce identical bytes — every login, download, transfer
-    // and fault record and every sampled metric untouched. In NS_AUDIT=OFF
-    // builds both runs simply never audit — the comparison still pins
-    // determinism.
-    const auto run_once = [](bool audit_on, const std::string& path) {
+    // and fault record and every sampled metric untouched. The sweep counts
+    // prove the audited run really audited, in every build flavour.
+    const auto run_once = [](bool audit_on, const std::string& path, std::int64_t& audits_run) {
         auto config = audit_config(605);
         config.peers = 300;
         add_fault(config, "edge_outage at=1.5 duration=0.2 region=all");
@@ -121,18 +120,18 @@ TEST(Auditor, EnablingAuditorDoesNotChangeTraceBytes) {
         config.audit.interval = sim::hours(1.0);
         Simulation s(config);
         s.run();
-        trace::Dataset dataset;
-        dataset.log = s.trace();
-        s.geodb().for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
-            dataset.geodb.register_ip(ip, rec);
-        });
-        ASSERT_TRUE(trace::save_dataset(dataset, path));
+        audits_run = s.auditor().counters().audits_run;
+        ASSERT_TRUE(trace::save_dataset(s.trace(), s.geodb(), path));
     };
     const auto dir = std::filesystem::temp_directory_path();
     const std::string path_on = (dir / "ns_audit_passivity_on.nstrace").string();
     const std::string path_off = (dir / "ns_audit_passivity_off.nstrace").string();
-    run_once(true, path_on);
-    run_once(false, path_off);
+    std::int64_t audits_on = -1;
+    std::int64_t audits_off = -1;
+    run_once(true, path_on, audits_on);
+    run_once(false, path_off, audits_off);
+    EXPECT_GT(audits_on, 24) << "hourly sweeps over a four-day run";
+    EXPECT_EQ(audits_off, 0);
     const auto read_all = [](const std::string& p) {
         std::ifstream in(p, std::ios::binary);
         return std::string(std::istreambuf_iterator<char>(in), {});

@@ -126,12 +126,7 @@ TEST(Chaos, FaultedRunIsByteIdenticalForSameSeedAndPlan) {
         Simulation s(config);
         s.run();
         EXPECT_EQ(s.faults().faults_applied(), 5);
-        trace::Dataset dataset;
-        dataset.log = s.trace();
-        s.geodb().for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
-            dataset.geodb.register_ip(ip, rec);
-        });
-        ASSERT_TRUE(trace::save_dataset(dataset, path));
+        ASSERT_TRUE(trace::save_dataset(s.trace(), s.geodb(), path));
     };
     const auto dir = std::filesystem::temp_directory_path();
     const std::string path_a = (dir / "ns_chaos_determinism_a.nstrace").string();
@@ -176,12 +171,7 @@ TEST(Chaos, CampaignRunIsByteIdenticalForSameSeed) {
         else
             EXPECT_EQ(s.faults().faults_applied(), faults_applied)
                 << "expansion drew a different storm on the second run";
-        trace::Dataset dataset;
-        dataset.log = s.trace();
-        s.geodb().for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
-            dataset.geodb.register_ip(ip, rec);
-        });
-        ASSERT_TRUE(trace::save_dataset(dataset, path));
+        ASSERT_TRUE(trace::save_dataset(s.trace(), s.geodb(), path));
     };
     const auto dir = std::filesystem::temp_directory_path();
     const std::string path_a = (dir / "ns_campaign_determinism_a.nstrace").string();

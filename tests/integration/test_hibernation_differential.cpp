@@ -38,13 +38,9 @@ std::string run_and_serialize(SimulationConfig config, bool hibernate_offline,
     config.client.hibernate_offline = hibernate_offline;
     Simulation s(config);
     s.run();
-    trace::Dataset dataset;
-    dataset.log = s.trace();
-    s.geodb().for_each(
-        [&](net::IpAddr ip, const net::GeoRecord& rec) { dataset.geodb.register_ip(ip, rec); });
     const auto path =
         (std::filesystem::temp_directory_path() / ("ns_hib_diff_" + tag + ".nstrace")).string();
-    EXPECT_TRUE(trace::save_dataset(dataset, path));
+    EXPECT_TRUE(trace::save_dataset(s.trace(), s.geodb(), path));
     std::ifstream in(path, std::ios::binary);
     std::string bytes(std::istreambuf_iterator<char>(in), {});
     in.close();

@@ -154,12 +154,7 @@ TEST(Simulation, SerializedTraceIsByteIdenticalForSameSeed) {
     const auto run_once = [&](const std::string& path) {
         Simulation s(config);
         s.run();
-        trace::Dataset dataset;
-        dataset.log = s.trace();
-        s.geodb().for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
-            dataset.geodb.register_ip(ip, rec);
-        });
-        ASSERT_TRUE(trace::save_dataset(dataset, path));
+        ASSERT_TRUE(trace::save_dataset(s.trace(), s.geodb(), path));
         EXPECT_GT(s.perf_stats().sim.dispatched, 0u);
         EXPECT_GT(s.perf_stats().flows.flows_completed, 0u);
     };

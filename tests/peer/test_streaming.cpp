@@ -67,7 +67,7 @@ TEST(SequentialPicker, DeliversPiecesInOrder) {
     h.sim.run_until(sim::SimTime{} + sim::seconds(30.0));
 
     std::vector<swarm::PieceIndex> order;
-    NetSessionClient::DownloadOptions options;
+    peer::DownloadOptions options;
     options.sequential = true;
     options.on_piece = [&](swarm::PieceIndex i) { order.push_back(i); };
     bool done = false;

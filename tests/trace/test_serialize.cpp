@@ -2,13 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include "net/world_data.hpp"
 #include "trace/serialize.hpp"
 
 namespace netsession::trace {
 namespace {
+
+constexpr std::size_t kSampleGeoEntries = 65;
 
 Dataset sample_dataset() {
     Dataset d;
@@ -48,6 +54,17 @@ Dataset sample_dataset() {
     d.log.add(t);
 
     d.log.add(DnRegistrationRecord{dl.object, dl.guid, sim::SimTime{7}});
+    d.log.add(DegradationRecord{dl.guid, sim::SimTime{10}, DegradationKind::peer_stall});
+
+    FaultRecord fault;
+    fault.time = sim::SimTime{11};
+    fault.param = 0.25;
+    fault.asn = 3;
+    fault.index = 2;
+    fault.kind = 4;
+    fault.phase = 1;
+    fault.region = 6;
+    d.log.add(fault);
 
     // v6 metrics section: one interned series with two samples.
     const std::uint32_t metric = d.log.intern_metric("edge.bytes_served");
@@ -56,7 +73,20 @@ Dataset sample_dataset() {
 
     d.geodb.register_ip(login.ip,
                         net::GeoRecord{net::Location{CountryId{17}, 4, {48.1, 11.5}}, Asn{1001}});
+    // Enough further entries that the geo table spans several hash buckets.
+    const auto countries = static_cast<std::uint32_t>(net::countries().size());
+    for (std::uint32_t i = 1; i < kSampleGeoEntries; ++i) {
+        const CountryId country{static_cast<std::uint16_t>(i % countries)};
+        d.geodb.register_ip(net::IpAddr{0x0B000000u + i * 7919u},
+                            net::GeoRecord{net::Location{country, i, {0.5 * i, -0.25 * i}},
+                                           Asn{2000 + i}});
+    }
     return d;
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 TEST(Serialize, RoundTripPreservesEverything) {
@@ -80,6 +110,23 @@ TEST(Serialize, RoundTripPreservesEverything) {
     ASSERT_EQ(loaded.log.transfers().size(), 1u);
     EXPECT_EQ(loaded.log.transfers()[0].bytes, 55);
     ASSERT_EQ(loaded.log.registrations().size(), 1u);
+    EXPECT_EQ(loaded.log.registrations()[0].time, sim::SimTime{7});
+
+    ASSERT_EQ(loaded.log.degradations().size(), 1u);
+    EXPECT_EQ(loaded.log.degradations()[0].guid, (Guid{1, 2}));
+    EXPECT_EQ(loaded.log.degradations()[0].time, sim::SimTime{10});
+    EXPECT_EQ(loaded.log.degradations()[0].kind, DegradationKind::peer_stall);
+
+    ASSERT_EQ(loaded.log.fault_events().size(), 1u);
+    const FaultRecord& fault = loaded.log.fault_events()[0];
+    EXPECT_EQ(fault.time, sim::SimTime{11});
+    EXPECT_EQ(fault.param, 0.25);
+    EXPECT_EQ(fault.asn, 3u);
+    EXPECT_EQ(fault.index, 2);
+    EXPECT_EQ(fault.kind, 4);
+    EXPECT_EQ(fault.phase, 1);
+    EXPECT_EQ(fault.region, 6);
+    EXPECT_EQ(fault.region_b, -1);
 
     ASSERT_EQ(loaded.log.metric_names().size(), 1u);
     EXPECT_EQ(loaded.log.metric_names()[0], "edge.bytes_served");
@@ -89,7 +136,7 @@ TEST(Serialize, RoundTripPreservesEverything) {
     EXPECT_EQ(loaded.log.metric_points()[1].value, 2.25);
     EXPECT_EQ(loaded.log.metric_points()[1].metric, 0u);
 
-    ASSERT_EQ(loaded.geodb.size(), 1u);
+    ASSERT_EQ(loaded.geodb.size(), kSampleGeoEntries);
     const auto geo = loaded.geodb.lookup(net::IpAddr{0x0A000001});
     ASSERT_TRUE(geo.has_value());
     EXPECT_EQ(geo->asn.value, 1001u);
@@ -125,16 +172,17 @@ TEST(Serialize, CorruptMagicRejected) {
 }
 
 TEST(Serialize, TruncatedFileRejected) {
+    // Every proper prefix: the cuts land inside the header, the section
+    // counts, the alignment padding, every record array, the metric-name
+    // table and the geo table.
     const std::string path = ::testing::TempDir() + "/trunc.nstrace";
     ASSERT_TRUE(save_dataset(sample_dataset(), path));
-    // Chop the file in half.
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-    Dataset d;
-    EXPECT_FALSE(load_dataset(d, path));
+    const auto size = static_cast<off_t>(read_file(path).size());
+    for (off_t len = size - 1; len >= 0; --len) {
+        ASSERT_EQ(truncate(path.c_str(), len), 0);
+        Dataset d;
+        EXPECT_FALSE(load_dataset(d, path)) << "prefix of " << len << " of " << size << " bytes";
+    }
     std::remove(path.c_str());
 }
 
@@ -154,7 +202,7 @@ TEST(Serialize, FailedLoadLeavesTargetUntouched) {
     ASSERT_EQ(target.log.registrations().size(), 2u);
     EXPECT_EQ(target.log.registrations()[1].guid, (Guid{42, 42}));
     EXPECT_EQ(target.log.downloads().size(), 1u);
-    EXPECT_EQ(target.geodb.size(), 1u);
+    EXPECT_EQ(target.geodb.size(), kSampleGeoEntries);
     std::remove(path.c_str());
 }
 
@@ -179,42 +227,65 @@ TEST(Serialize, SaveIsAtomicReplace) {
     std::remove(path.c_str());
 }
 
-TEST(Serialize, BufferedFallbackPathRoundTrips) {
-    // NS_TRACE_NO_MMAP forces the fread path; the same file must load
-    // identically through both.
-    const std::string path = ::testing::TempDir() + "/nommap.nstrace";
-    ASSERT_TRUE(save_dataset(sample_dataset(), path));
-
-    Dataset mapped;
-    ASSERT_TRUE(load_dataset(mapped, path));
-
-    setenv("NS_TRACE_NO_MMAP", "1", 1);
-    Dataset buffered;
-    const bool ok = load_dataset(buffered, path);
-    unsetenv("NS_TRACE_NO_MMAP");
-    ASSERT_TRUE(ok);
-
-    EXPECT_EQ(buffered.log.total_entries(), mapped.log.total_entries());
-    ASSERT_EQ(buffered.log.downloads().size(), mapped.log.downloads().size());
-    EXPECT_EQ(buffered.log.downloads()[0].guid, mapped.log.downloads()[0].guid);
-    EXPECT_EQ(buffered.log.metric_points().size(), mapped.log.metric_points().size());
-    EXPECT_EQ(buffered.geodb.size(), mapped.geodb.size());
-    std::remove(path.c_str());
-}
-
-TEST(Serialize, ViewSectionsMaterializeOnMutation) {
-    const std::string path = ::testing::TempDir() + "/view.nstrace";
+TEST(Serialize, LoadedSectionsAreMutable) {
+    const std::string path = ::testing::TempDir() + "/mutable.nstrace";
     ASSERT_TRUE(save_dataset(sample_dataset(), path));
     Dataset loaded;
     ASSERT_TRUE(load_dataset(loaded, path));
-    std::remove(path.c_str());  // views must keep the backing storage alive
+    // The loaded data set owns its records: rewriting or deleting the file
+    // afterwards cannot reach them.
+    ASSERT_EQ(truncate(path.c_str(), 0), 0);
+    std::remove(path.c_str());
 
     const Bytes before = loaded.log.downloads()[0].object_size;
-    loaded.log.downloads().front().object_size = before + 1;  // copy-on-write
-    EXPECT_FALSE(loaded.log.downloads().is_view());
+    loaded.log.downloads().front().object_size = before + 1;
     EXPECT_EQ(loaded.log.downloads()[0].object_size, before + 1);
     loaded.log.add(DownloadRecord{});
     EXPECT_EQ(loaded.log.downloads().size(), 2u);
+    loaded.log.add(DnRegistrationRecord{ObjectId{5, 5}, Guid{5, 5}, sim::SimTime{50}});
+    EXPECT_EQ(loaded.log.registrations().size(), 2u);
+}
+
+TEST(Serialize, SaveLoadSaveIsByteIdentical) {
+    // The geo table is written in IP order, not in the hash map's iteration
+    // order, which depends on the map's insertion history: a loaded data set
+    // re-saves to the same bytes.
+    const std::string first = ::testing::TempDir() + "/resave_a.nstrace";
+    const std::string second = ::testing::TempDir() + "/resave_b.nstrace";
+    ASSERT_TRUE(save_dataset(sample_dataset(), first));
+    Dataset loaded;
+    ASSERT_TRUE(load_dataset(loaded, first));
+    ASSERT_EQ(loaded.geodb.size(), kSampleGeoEntries);
+    ASSERT_TRUE(save_dataset(loaded, second));
+    const std::string bytes = read_file(first);
+    ASSERT_GT(bytes.size(), kSampleGeoEntries * 32);
+    EXPECT_TRUE(bytes == read_file(second)) << "a re-save changed the file";
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+}
+
+TEST(Serialize, UnknownGeoCountryRejected) {
+    // The analysis indexes the static country table with a geo entry's
+    // country, so the load must refuse an id past its end.
+    const std::string path = ::testing::TempDir() + "/country.nstrace";
+    const auto countries = static_cast<std::uint16_t>(net::countries().size());
+    const auto with_country = [](std::uint16_t country) {
+        Dataset d = sample_dataset();
+        d.geodb.register_ip(net::IpAddr{0x0C000001},
+                            net::GeoRecord{net::Location{CountryId{country}, 1, {1.0, 2.0}},
+                                           Asn{7}});
+        return d;
+    };
+
+    ASSERT_TRUE(save_dataset(with_country(countries - 1), path));
+    Dataset d;
+    EXPECT_TRUE(load_dataset(d, path)) << "the last country in the table is valid";
+
+    ASSERT_TRUE(save_dataset(with_country(countries), path));
+    Dataset rejected;
+    EXPECT_FALSE(load_dataset(rejected, path));
+    EXPECT_EQ(rejected.geodb.size(), 0u);
+    std::remove(path.c_str());
 }
 
 TEST(Serialize, EmptyDatasetRoundTrips) {

@@ -54,6 +54,10 @@ run_flavour() {
         echo "==== [$name] chaos scenario smoke ===="
         local smoke_out="$build_dir/chaos_smoke.nstrace"
         "$build_dir/tools/netsession_sim" run scenarios/chaos_regional_outage.ini "$smoke_out"
+        # Load the full-size trace back through the reader, fault timeline
+        # included: a load failure exits non-zero and fails the leg.
+        "$build_dir/tools/nstrace" summary "$smoke_out"
+        "$build_dir/tools/nstrace" recovery "$smoke_out"
         rm -f "$smoke_out"
         # 200k-peer scale smoke: the arena + flat-hash overhaul must keep a
         # 5x population inside a bounded footprint and a hard wall-clock
@@ -75,7 +79,7 @@ run_flavour() {
     fi
 }
 
-# The audit flavour compiles the runtime invariant auditor in (NS_AUDIT=ON)
+# The audit flavour turns the runtime invariant auditor on by default (NS_AUDIT=ON)
 # with violations fatal (NS_AUDIT_FATAL=ON) and runs the fault/integration
 # surface under ASan: cross-layer contracts (byte conservation, directory
 # consistency, flow capacity, stall bounds, arena accounting) are checked

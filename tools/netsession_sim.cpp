@@ -52,12 +52,7 @@ int cmd_run(const std::string& scenario_path, const std::string& out_path) {
                 format_count(outcomes.all.n).c_str());
 
     if (!out_path.empty()) {
-        trace::Dataset dataset;
-        dataset.log = log;
-        sim.geodb().for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
-            dataset.geodb.register_ip(ip, rec);
-        });
-        if (!trace::save_dataset(dataset, out_path)) {
+        if (!trace::save_dataset(log, sim.geodb(), out_path)) {
             std::fprintf(stderr, "netsession_sim: cannot write %s\n", out_path.c_str());
             return 1;
         }
